@@ -71,6 +71,7 @@
 
 pub mod ast;
 pub mod builder;
+pub mod crc;
 pub mod env;
 pub mod error;
 pub mod eval;
@@ -81,6 +82,7 @@ pub mod step;
 pub mod value;
 
 pub use ast::{Arg, Branch, Callee, ConDecl, Decl, Expr, FunDecl, Pattern, Program};
+pub use crc::{crc32, Crc32};
 pub use error::{EvalError, RuntimeError};
 pub use eval::Evaluator;
 pub use io::{IoPorts, NullPorts, VecPorts};

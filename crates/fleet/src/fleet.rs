@@ -409,10 +409,11 @@ struct Shared {
     /// Wakes idle workers; the guarded counter defeats lost wakeups.
     work: Condvar,
     work_seq: Mutex<u64>,
-    /// Wakes `wait_idle` callers (state lives in the slots, so waiters
-    /// poll under a short timeout; the condvar only shortens the nap).
+    /// Wakes `wait_idle` callers. The state lives in the slots; the
+    /// guarded generation counter, bumped on every notify, lets a waiter
+    /// see a notify that landed between its slot check and its wait.
     idle: Condvar,
-    idle_lock: Mutex<()>,
+    idle_seq: Mutex<u64>,
     shutdown: AtomicBool,
     counters: Counters,
     latency_us: Mutex<Histogram>,
@@ -459,8 +460,25 @@ impl Shared {
     }
 
     fn notify_idle(&self) {
-        let _guard = lock(&self.idle_lock);
+        let mut seq = lock(&self.idle_seq);
+        *seq = seq.wrapping_add(1);
         self.idle.notify_all();
+    }
+
+    /// The idle generation to pass to [`Shared::wait_for_idle_change`];
+    /// read it *before* checking the slots.
+    fn idle_generation(&self) -> u64 {
+        *lock(&self.idle_seq)
+    }
+
+    /// Sleep until a notify newer than generation `seen` (or a 5 ms nap
+    /// as a backstop); returns at once if one already happened. Never
+    /// called with a slot lock held.
+    fn wait_for_idle_change(&self, seen: u64) {
+        let guard = lock(&self.idle_seq);
+        if *guard == seen {
+            let _unused = self.idle.wait_timeout(guard, Duration::from_millis(5));
+        }
     }
 
     /// Pop a session id, preferring this worker's own shard and stealing
@@ -1121,6 +1139,7 @@ impl FleetHandle {
     pub fn wait_idle(&self, id: u64, timeout: Duration) -> Result<(), FleetError> {
         let deadline = Instant::now() + timeout;
         loop {
+            let seen = self.shared.idle_generation();
             {
                 let slot = self.shared.slot(id)?;
                 let s = lock(&slot);
@@ -1134,11 +1153,7 @@ impl FleetHandle {
             if Instant::now() >= deadline {
                 return Err(FleetError::WaitTimeout);
             }
-            let guard = lock(&self.shared.idle_lock);
-            let _unused = self
-                .shared
-                .idle
-                .wait_timeout(guard, Duration::from_millis(5));
+            self.shared.wait_for_idle_change(seen);
         }
     }
 
@@ -1146,6 +1161,7 @@ impl FleetHandle {
     pub fn wait_all_idle(&self, timeout: Duration) -> Result<(), FleetError> {
         let deadline = Instant::now() + timeout;
         loop {
+            let seen = self.shared.idle_generation();
             let ids: Vec<u64> = lock(&self.shared.slots).keys().copied().collect();
             let busy = ids.iter().any(|&id| {
                 self.shared
@@ -1162,11 +1178,7 @@ impl FleetHandle {
             if Instant::now() >= deadline {
                 return Err(FleetError::WaitTimeout);
             }
-            let guard = lock(&self.shared.idle_lock);
-            let _unused = self
-                .shared
-                .idle
-                .wait_timeout(guard, Duration::from_millis(5));
+            self.shared.wait_for_idle_change(seen);
         }
     }
 
@@ -1292,7 +1304,7 @@ impl Fleet {
             work: Condvar::new(),
             work_seq: Mutex::new(0),
             idle: Condvar::new(),
-            idle_lock: Mutex::new(()),
+            idle_seq: Mutex::new(0),
             shutdown: AtomicBool::new(false),
             counters: Counters::new(),
             latency_us: Mutex::new(Histogram::new()),

@@ -63,7 +63,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite};
-use zarf_hw::{crc32, verify_container};
+use zarf_core::crc32;
+use zarf_hw::verify_container;
 use zarf_store::{content_hash, ChunkId, SessionRecord, Store};
 
 use crate::wire::{

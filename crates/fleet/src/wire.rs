@@ -11,7 +11,7 @@
 //! | 9+L    | 4    | CRC-32 of the payload, u32 LE        |
 //!
 //! All integers are little-endian. The CRC is the same IEEE polynomial
-//! the `ZSNP` snapshot container uses ([`zarf_hw::crc32`]). Decoding is
+//! the `ZSNP` snapshot container uses ([`zarf_core::crc32`]). Decoding is
 //! exact: a frame must consume its entire buffer and a message its entire
 //! payload, so *any* single-bit corruption of a serialized frame is
 //! rejected — magic and version flips by field checks, length flips by
@@ -23,8 +23,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::time::Duration;
 
-use zarf_core::{Int, Word};
-use zarf_hw::crc32;
+use zarf_core::{crc32, Int, Word};
 
 use crate::fleet::SessionConfig;
 use crate::op::{Op, PortFeed};

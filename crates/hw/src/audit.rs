@@ -170,16 +170,33 @@ pub fn audit_heap(
     item_shape: &dyn Fn(u32) -> Option<(usize, bool)>,
     strict: bool,
 ) -> Result<AuditReport, AuditError> {
-    let objs = heap.objects();
+    audit_objects(
+        heap.objects(),
+        Some(heap.words_used()),
+        roots,
+        item_shape,
+        strict,
+    )
+}
+
+/// [`audit_heap`] over a borrowed object vector (a snapshot audits its
+/// heap in place). `recorded_words`, when given, is the heap's own word
+/// count, which must agree with the objects.
+pub(crate) fn audit_objects(
+    objs: &[HeapObj],
+    recorded_words: Option<usize>,
+    roots: &[HValue],
+    item_shape: &dyn Fn(u32) -> Option<(usize, bool)>,
+    strict: bool,
+) -> Result<AuditReport, AuditError> {
     let n = objs.len();
 
     // Word accounting must agree with the contents.
     let computed: usize = objs.iter().map(|o| o.words()).sum();
-    if computed != heap.words_used() {
-        return Err(AuditError::WordsMismatch {
-            recorded: heap.words_used(),
-            computed,
-        });
+    if let Some(recorded) = recorded_words {
+        if computed != recorded {
+            return Err(AuditError::WordsMismatch { recorded, computed });
+        }
     }
 
     // Roots in bounds.

@@ -36,6 +36,7 @@
 pub mod audit;
 pub mod cost;
 pub mod heap;
+mod image;
 pub mod machine;
 pub mod obj;
 pub mod resources;
@@ -49,7 +50,7 @@ pub use machine::{Hw, HwConfig, HwError, DEFAULT_HEAP_WORDS};
 pub use obj::{AppTarget, HValue, HeapObj, HeapRef};
 pub use resources::LambdaLayerModel;
 pub use snapshot::{
-    crc32, read_sections, verify_container, MachineSnapshot, SectionWriter, SnapshotError,
+    read_sections, verify_container, MachineSnapshot, SectionWriter, SnapshotError,
     FIRST_EMBEDDER_TAG,
 };
 pub use stats::{Class, ClassStats, Stats};

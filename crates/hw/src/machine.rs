@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use zarf_asm::encode::{
     self, unpack_let_head, unpack_operand_word, unpack_pattern_skip, word_tag, TAG_CASE, TAG_ELSE,
@@ -43,6 +44,7 @@ use zarf_trace::{Event, InstrClass, SinkHandle, TraceSink};
 
 use crate::cost::CostModel;
 use crate::heap::{DanglingRef, GcReport, Heap};
+use crate::image::{Image, ItemMeta, IMAGES};
 use crate::obj::{AppTarget, HValue, HeapObj, HeapRef};
 use crate::stats::{Class, Stats};
 
@@ -115,16 +117,6 @@ impl From<DanglingRef> for HwError {
     fn from(e: DanglingRef) -> Self {
         HwError::DanglingRef(e.0)
     }
-}
-
-/// Load-time metadata for one item.
-#[derive(Debug, Clone)]
-struct ItemMeta {
-    arity: usize,
-    locals: usize,
-    is_con: bool,
-    body_off: usize,
-    name: Option<String>,
 }
 
 /// Pending cycle run not yet emitted as an [`Event::Cycles`].
@@ -242,9 +234,11 @@ impl Default for HwConfig {
 /// The λ-execution layer hardware simulator.
 #[derive(Debug)]
 pub struct Hw {
-    code: Vec<Word>,
-    items: Vec<ItemMeta>,
-    names: HashMap<String, u32>,
+    /// The validated code, item table and symbols, shared with every
+    /// machine loaded from the same image.
+    image: Arc<Image>,
+    /// `image.code`, held directly so instruction fetch skips a pointer.
+    code: Arc<[Word]>,
     heap: Heap,
     cost: CostModel,
     stats: Stats,
@@ -280,37 +274,28 @@ impl Hw {
     ///
     /// The image is fully validated (structure, operand ranges, skip-field
     /// consistency) before execution is permitted — rejecting malformed
-    /// binaries is part of the architecture's contract.
+    /// binaries is part of the architecture's contract. Validation runs
+    /// once per process per distinct image: a later load of exactly the
+    /// same words shares the validated image.
     pub fn load_with(words: &[Word], config: HwConfig) -> Result<Self, HwError> {
-        // Validation: a full decode must succeed.
-        encode::decode(words).map_err(HwError::Load)?;
+        Self::load_symbols(words, &[], config)
+    }
 
-        // Build the item offset table by scanning headers.
-        let mut items = Vec::new();
-        let count = words[1] as usize;
-        let mut pos = 2;
-        for _ in 0..count {
-            let fp = words[pos];
-            let body_len = words[pos + 1] as usize;
-            items.push(ItemMeta {
-                arity: ((fp >> 16) & 0xFF) as usize,
-                locals: (fp & 0xFFFF) as usize,
-                is_con: fp >> 31 == 1,
-                body_off: pos + 2,
-                name: None,
-            });
-            pos += 2 + body_len;
-        }
-
+    /// [`Hw::load_with`] retaining `(identifier, name)` symbols.
+    pub(crate) fn load_symbols(
+        words: &[Word],
+        symbols: &[(u32, String)],
+        config: HwConfig,
+    ) -> Result<Self, HwError> {
+        let image = IMAGES.resolve(words, symbols)?;
         let stats = Stats {
             load_cycles: config.cost.load_per_word * words.len() as u64,
             ..Stats::default()
         };
 
         Ok(Hw {
-            code: words.to_vec(),
-            items,
-            names: HashMap::new(),
+            code: Arc::clone(&image.code),
+            image,
             heap: Heap::new(config.heap_words),
             cost: config.cost,
             stats,
@@ -339,14 +324,13 @@ impl Hw {
     /// [`Hw::from_machine`] with an explicit configuration.
     pub fn from_machine_with(m: &MProgram, config: HwConfig) -> Result<Self, HwError> {
         let words = encode::encode(m).map_err(HwError::Encode)?;
-        let mut hw = Self::load_with(&words, config)?;
-        for (i, item) in m.items().iter().enumerate() {
-            if let Some(n) = &item.name {
-                hw.names.insert(n.clone(), m.id_of(i));
-                hw.items[i].name = Some(n.clone());
-            }
-        }
-        Ok(hw)
+        let symbols: Vec<(u32, String)> = m
+            .items()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| item.name.clone().map(|n| (m.id_of(i), n)))
+            .collect();
+        Self::load_symbols(&words, &symbols, config)
     }
 
     /// Execution statistics so far.
@@ -384,11 +368,8 @@ impl Hw {
 
     /// Retained symbols as `(identifier, name)` pairs, identifier-sorted
     /// so snapshot bytes are deterministic.
-    pub(crate) fn name_table(&self) -> Vec<(u32, String)> {
-        let mut rows: Vec<(u32, String)> =
-            self.names.iter().map(|(n, &id)| (id, n.clone())).collect();
-        rows.sort();
-        rows
+    pub(crate) fn name_table(&self) -> &[(u32, String)] {
+        &self.image.symbols
     }
 
     /// True when no call is in flight: the frame and continuation stacks
@@ -430,17 +411,6 @@ impl Hw {
         self.cursor = TraceCursor::default();
     }
 
-    /// Re-associate a symbol with an item identifier (snapshot restore
-    /// rebuilds the name table this way).
-    pub(crate) fn install_name(&mut self, name: &str, id: u32) {
-        self.names.insert(name.to_string(), id);
-        if let Some(i) = id.checked_sub(FIRST_USER_INDEX) {
-            if let Some(meta) = self.items.get_mut(i as usize) {
-                meta.name = Some(name.to_string());
-            }
-        }
-    }
-
     /// `(arity, is_constructor)` for a program item, `None` if the
     /// identifier names no item. The auditor uses this to check
     /// constructor saturation and application targets.
@@ -463,7 +433,7 @@ impl Hw {
 
     /// The identifier of the item named `name`, if symbols were retained.
     pub fn id_of(&self, name: &str) -> Option<u32> {
-        self.names.get(name).copied()
+        self.image.names.get(name).copied()
     }
 
     /// Protect a value from garbage collection across host calls; returns a
@@ -500,7 +470,7 @@ impl Hw {
     /// the non-snapshotted knobs (cycle limit, GC policy, cost model); the
     /// heap capacity always comes from the snapshot.
     pub fn rehydrate(bytes: &[u8], config: HwConfig) -> Result<Hw, crate::snapshot::SnapshotError> {
-        crate::snapshot::MachineSnapshot::from_bytes(bytes)?.to_hw(config)
+        crate::snapshot::MachineSnapshot::from_bytes(bytes)?.into_hw(config)
     }
 
     /// Run `main` to completion, returning its weak head-normal form.
@@ -529,7 +499,7 @@ impl Hw {
         ports: &mut dyn IoPorts,
     ) -> Result<HValue, HwError> {
         if id >= FIRST_USER_INDEX
-            && (id - FIRST_USER_INDEX) as usize >= self.items.len()
+            && (id - FIRST_USER_INDEX) as usize >= self.image.items.len()
             && PrimOp::from_index(id).is_none()
         {
             return Err(HwError::UnknownItem(id));
@@ -1002,7 +972,7 @@ impl Hw {
 
     fn item(&self, id: u32) -> Option<&ItemMeta> {
         id.checked_sub(FIRST_USER_INDEX)
-            .and_then(|i| self.items.get(i as usize))
+            .and_then(|i| self.image.items.get(i as usize))
     }
 
     /// Emit [`Event::CoroutineExit`] if the popped frame's item is marked.
@@ -1210,9 +1180,12 @@ impl Hw {
             return Ok(State::Return(HValue::Ref(r)));
         }
 
-        let meta = self.item(id).ok_or(HwError::UnknownItem(id))?.clone();
-        if meta.is_con {
-            match args.len().cmp(&meta.arity) {
+        let (is_con, arity, locals, body_off) = {
+            let m = self.item(id).ok_or(HwError::UnknownItem(id))?;
+            (m.is_con, m.arity, m.locals, m.body_off)
+        };
+        if is_con {
+            match args.len().cmp(&arity) {
                 std::cmp::Ordering::Less => {
                     self.charge(self.cost.pap_check);
                     Ok(State::Return(HValue::Ref(r)))
@@ -1239,14 +1212,14 @@ impl Hw {
                 }
             }
         } else {
-            if args.len() < meta.arity {
+            if args.len() < arity {
                 self.charge(self.cost.pap_check);
                 return Ok(State::Return(HValue::Ref(r)));
             }
             self.push_update(r)?;
             *self.heap.get_mut(r)? = HeapObj::BlackHole;
-            if args.len() > meta.arity {
-                let rest = args.split_off(meta.arity);
+            if args.len() > arity {
+                let rest = args.split_off(arity);
                 self.conts.push(Cont::Apply(rest));
             }
             self.charge(self.cost.enter_fun);
@@ -1257,8 +1230,8 @@ impl Hw {
             self.frames.push(Frame {
                 item: id,
                 args,
-                locals: Vec::with_capacity(meta.locals),
-                pc: meta.body_off,
+                locals: Vec::with_capacity(locals),
+                pc: body_off,
             });
             Ok(State::Exec)
         }

@@ -20,12 +20,11 @@
 //! strictly audited (see [`crate::audit`]) both when captured and before
 //! it is allowed to overwrite a live machine.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use zarf_core::Word;
+use zarf_core::{crc32, Word};
 
-use crate::audit::{audit_heap, AuditError};
+use crate::audit::{audit_objects, AuditError};
 use crate::heap::Heap;
 use crate::machine::{Hw, HwConfig, HwError};
 use crate::obj::{AppTarget, HValue, HeapObj, HeapRef};
@@ -141,21 +140,6 @@ impl From<AuditError> for SnapshotError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum guarding each
-/// section payload. Bitwise — speed is irrelevant at checkpoint sizes,
-/// and it detects every single-bit error by construction.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// Incremental builder for a snapshot container: header, then one call to
 /// [`SectionWriter::section`] per section, then [`SectionWriter::finish`].
 #[derive(Debug)]
@@ -174,7 +158,8 @@ impl SectionWriter {
         SectionWriter { buf, count: 0 }
     }
 
-    /// Append one section: tag, length, payload, CRC-32 of the payload.
+    /// Append one section: tag, length, payload, CRC-32 of the payload
+    /// ([`zarf_core::crc32`], the checksum every byte format shares).
     pub fn section(&mut self, tag: u32, payload: &[u8]) {
         self.buf.extend_from_slice(&tag.to_le_bytes());
         self.buf
@@ -414,31 +399,31 @@ fn class_from(code: u8) -> Result<Class, SnapshotError> {
 /// of [`Heap::collect`] exactly — indirections are short-circuited, so a
 /// capture taken right after a collection reproduces the live heap's
 /// layout index for index.
+///
+/// `fwd` is indexed by source reference (one slot per source object).
 fn evacuate(
     v: HValue,
     src: &[HeapObj],
-    fwd: &mut HashMap<HeapRef, HValue>,
+    fwd: &mut [Option<HValue>],
     out: &mut Vec<HeapObj>,
 ) -> Result<HValue, SnapshotError> {
     let HValue::Ref(r) = v else { return Ok(v) };
-    if let Some(&dest) = fwd.get(&r) {
-        return Ok(dest);
-    }
     let obj = src.get(r).ok_or(SnapshotError::Dangling(r))?;
-    match obj {
-        HeapObj::Forwarded(_) => Err(SnapshotError::ForwardedLive(r)),
-        HeapObj::Ind(inner) => {
-            let dest = evacuate(*inner, src, fwd, out)?;
-            fwd.insert(r, dest);
-            Ok(dest)
-        }
-        _ => {
-            let dest = HValue::Ref(out.len());
-            fwd.insert(r, dest);
-            out.push(obj.clone());
-            Ok(dest)
-        }
+    if let Some(Some(dest)) = fwd.get(r) {
+        return Ok(*dest);
     }
+    let dest = match obj {
+        HeapObj::Forwarded(_) => return Err(SnapshotError::ForwardedLive(r)),
+        HeapObj::Ind(inner) => evacuate(*inner, src, fwd, out)?,
+        _ => {
+            out.push(obj.clone());
+            HValue::Ref(out.len() - 1)
+        }
+    };
+    if let Some(slot) = fwd.get_mut(r) {
+        *slot = Some(dest);
+    }
+    Ok(dest)
 }
 
 /// A self-contained, restorable copy of a quiescent λ-machine.
@@ -470,7 +455,7 @@ impl MachineSnapshot {
             return Err(SnapshotError::MachineBusy);
         }
         let src = hw.heap().objects();
-        let mut fwd: HashMap<HeapRef, HValue> = HashMap::new();
+        let mut fwd: Vec<Option<HValue>> = vec![None; src.len()];
         let mut objects: Vec<HeapObj> = Vec::new();
         let mut roots = Vec::with_capacity(hw.host_roots().len());
         for &r in hw.host_roots() {
@@ -506,7 +491,7 @@ impl MachineSnapshot {
 
         let snapshot = MachineSnapshot {
             code: hw.code_words().to_vec(),
-            names: hw.name_table(),
+            names: hw.name_table().to_vec(),
             heap_capacity: hw.heap().capacity_words(),
             objects,
             roots,
@@ -523,8 +508,8 @@ impl MachineSnapshot {
         &self,
         item_shape: &dyn Fn(u32) -> Option<(usize, bool)>,
     ) -> Result<crate::audit::AuditReport, SnapshotError> {
-        let heap = Heap::from_parts(self.heap_capacity, self.objects.clone());
-        audit_heap(&heap, &self.roots, item_shape, true).map_err(SnapshotError::Audit)
+        audit_objects(&self.objects, None, &self.roots, item_shape, true)
+            .map_err(SnapshotError::Audit)
     }
 
     /// Audit against the snapshot's *own* embedded code image, rescanning
@@ -713,26 +698,40 @@ impl MachineSnapshot {
     /// is strictly audited first, so a corrupt checkpoint can never
     /// replace a healthy machine.
     pub fn restore_into(&self, hw: &mut Hw) -> Result<(), SnapshotError> {
-        if hw.code_words() != self.code.as_slice() {
-            return Err(SnapshotError::CodeMismatch);
-        }
-        self.audit(&|id| hw.item_shape(id))?;
+        self.vet_for(hw)?;
         let heap = Heap::from_parts(self.heap_capacity, self.objects.clone());
         hw.restore_parts(heap, self.roots.clone(), self.stats.clone(), self.class);
         Ok(())
     }
 
-    /// Build a fresh machine from the snapshot alone: reload and
-    /// re-validate the embedded image, reinstall symbols, then restore.
-    /// `config`'s heap size is overridden by the snapshot's capacity.
-    pub fn to_hw(&self, mut config: HwConfig) -> Result<Hw, SnapshotError> {
-        config.heap_words = self.heap_capacity;
-        let mut hw = Hw::load_with(&self.code, config)
-            .map_err(|e: HwError| SnapshotError::Load(e.to_string()))?;
-        for (id, name) in &self.names {
-            hw.install_name(name, *id);
+    /// The checks [`MachineSnapshot::restore_into`] runs before touching
+    /// `hw`: same image, and a strict audit against its item table.
+    fn vet_for(&self, hw: &Hw) -> Result<(), SnapshotError> {
+        if hw.code_words() != self.code.as_slice() {
+            return Err(SnapshotError::CodeMismatch);
         }
-        self.restore_into(&mut hw)?;
+        self.audit(&|id| hw.item_shape(id))?;
+        Ok(())
+    }
+
+    /// Build a fresh machine from the snapshot alone: reload the embedded
+    /// image with its symbols, then restore. `config`'s heap size is
+    /// overridden by the snapshot's capacity.
+    pub fn to_hw(&self, config: HwConfig) -> Result<Hw, SnapshotError> {
+        self.clone().into_hw(config)
+    }
+
+    /// [`MachineSnapshot::to_hw`], moving the heap into the machine
+    /// instead of copying it. The image is re-validated unless this
+    /// process already validated exactly these words; the heap is
+    /// strictly audited either way.
+    pub(crate) fn into_hw(self, mut config: HwConfig) -> Result<Hw, SnapshotError> {
+        config.heap_words = self.heap_capacity;
+        let mut hw = Hw::load_symbols(&self.code, &self.names, config)
+            .map_err(|e: HwError| SnapshotError::Load(e.to_string()))?;
+        self.vet_for(&hw)?;
+        let heap = Heap::from_parts(self.heap_capacity, self.objects);
+        hw.restore_parts(heap, self.roots, self.stats, self.class);
         Ok(hw)
     }
 }
@@ -848,12 +847,6 @@ fun main =
   let l = upto 6 in
   result l
 "#;
-
-    #[test]
-    fn crc32_matches_the_reference_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn capture_round_trips_through_bytes() {

@@ -177,4 +177,51 @@ mod tests {
         assert_eq!(ports.output(PORT_PACE), &reference[..]);
         assert_eq!(ports.output(PORT_CHANNEL), &reference_chan[..]);
     }
+
+    /// FNV-1a (64-bit): a hash independent of the CRC-32 inside the
+    /// snapshot format, so the pin below does not lean on what it checks.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// Boot a session, then run `steps` scheduler iterations, each
+    /// followed by the fleet's boundary GC and a hibernate → rehydrate
+    /// round trip; return the final `ZSNP` bytes.
+    fn stepped_snapshot(mut hw: Hw, img: &KernelSessionImage, steps: i32) -> Vec<u8> {
+        let mut ports = VecPorts::new();
+        let v = hw
+            .call(img.boot, vec![zarf_hw::HValue::Int(0)], &mut ports)
+            .unwrap();
+        let state = hw.push_root(v);
+        for i in 0..steps {
+            ports.push_input(PORT_TIMER, [i]);
+            ports.push_input(PORT_ECG, [((i * 53) % 240) - 120]);
+            ports.push_input(PORT_CHANNEL_STATUS, [0]);
+            let s = hw.root(state);
+            let v = hw.call(img.step, vec![s], &mut ports).unwrap();
+            hw.set_root(state, v);
+            hw.collect_garbage().unwrap();
+            let bytes = hw.hibernate().unwrap();
+            hw = Hw::rehydrate(&bytes, HwConfig::default()).unwrap();
+        }
+        hw.hibernate().unwrap()
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // Recorded with the bit-at-a-time CRC codec: the snapshot path
+        // may get faster but must reproduce these bytes exactly, with
+        // symbols (the names section filled) or without.
+        let img = session_image();
+        let plain = stepped_snapshot(
+            Hw::load_with(&img.words, HwConfig::default()).unwrap(),
+            &img,
+            24,
+        );
+        let named = stepped_snapshot(Hw::from_machine(&session_machine()).unwrap(), &img, 24);
+        assert_eq!((plain.len(), fnv1a(&plain)), (5341, 0xDD26_D6B6_2035_0123));
+        assert_eq!((named.len(), fnv1a(&named)), (5871, 0xC350_A561_29DD_EDAA));
+    }
 }

@@ -1,6 +1,6 @@
 //! Content addressing for the chunk store: a 128-bit keyed hash built
-//! from two independent SipHash-2-4 lanes, plus the same reflected
-//! CRC-32 the ZSNP container uses for per-record damage detection.
+//! from two independent SipHash-2-4 lanes. Per-record damage detection
+//! uses [`zarf_core::crc32`], the same CRC-32 the ZSNP container uses.
 //!
 //! The two checks serve different purposes and both run on every read:
 //!
@@ -114,21 +114,6 @@ fn siphash24(k0: u64, k1: u64, bytes: &[u8]) -> u64 {
     v0 ^ v1 ^ v2 ^ v3
 }
 
-/// CRC-32 (IEEE, reflected) — the same polynomial and bit order as
-/// `zarf_hw::crc32`, duplicated here so the store stays a leaf crate
-/// below the snapshot layer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// SplitMix64 step — used only to derive the Gear table deterministically.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -181,12 +166,5 @@ mod tests {
         assert_eq!(ChunkId::from_hex(&s), Some(h));
         assert_eq!(ChunkId::from_hex("xyz"), None);
         assert_eq!(ChunkId::from_hex(&s[..30]), None);
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // "123456789" under IEEE reflected CRC-32.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 }

@@ -42,7 +42,7 @@ mod segment;
 mod store;
 mod tier;
 
-pub use crate::hash::{content_hash, crc32, ChunkId};
+pub use crate::hash::{content_hash, ChunkId};
 pub use crate::manifest::SessionRecord;
 pub use crate::store::{
     fsck, gc, FsckReport, GcReport, SessionMeta, Store, StoreConfig, StoreStats,

@@ -30,7 +30,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::hash::{crc32, ChunkId};
+use zarf_core::crc32;
+
+use crate::hash::ChunkId;
 use crate::StoreError;
 
 pub const MANIFEST_MAGIC: [u8; 4] = *b"ZMAN";

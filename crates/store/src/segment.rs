@@ -16,7 +16,9 @@
 //! fail magic/CRC checks with more data after them — reported, and the
 //! scan stops so nothing unverified is ever indexed).
 
-use crate::hash::{content_hash, crc32, ChunkId};
+use zarf_core::Crc32;
+
+use crate::hash::{content_hash, ChunkId};
 
 pub const SEGMENT_MAGIC: [u8; 4] = *b"ZSEG";
 pub const SEGMENT_VERSION: u32 = 1;
@@ -70,11 +72,16 @@ pub fn encode_record(id: ChunkId, payload: &[u8]) -> Vec<u8> {
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     rec.extend_from_slice(&id.0);
     rec.extend_from_slice(payload);
-    let mut guarded = Vec::with_capacity(16 + payload.len());
-    guarded.extend_from_slice(&id.0);
-    guarded.extend_from_slice(payload);
-    rec.extend_from_slice(&crc32(&guarded).to_le_bytes());
+    rec.extend_from_slice(&record_crc(id, payload).to_le_bytes());
     rec
+}
+
+/// The record checksum: CRC-32 over `hash || payload`.
+fn record_crc(id: ChunkId, payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&id.0);
+    crc.update(payload);
+    crc.finish()
 }
 
 /// Validate one record at `offset` in `bytes` and return its id, loc
@@ -114,10 +121,7 @@ pub fn read_record(
         None => return Ok(None),
     };
     let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let mut guarded = Vec::with_capacity(16 + payload.len());
-    guarded.extend_from_slice(&id.0);
-    guarded.extend_from_slice(payload);
-    if crc32(&guarded) != crc {
+    if record_crc(id, payload) != crc {
         return Err(format!("record CRC mismatch at offset {offset}"));
     }
     if content_hash(payload) != id {

@@ -559,3 +559,43 @@ fn snapshot_restore_continues_across_fleets() {
     assert_eq!(hb.snapshot(id_b).unwrap(), want_snap);
     fleet_b.shutdown();
 }
+
+/// `wait_idle` and `wait_all_idle` must not lose a wakeup: a commit that
+/// lands between a waiter's idleness check and its wait used to be missed,
+/// leaving the waiter to sleep out its 5 ms nap. 200 single-op cycles
+/// then cost a second or more; woken promptly they cost a small fraction
+/// of that.
+#[test]
+fn idle_waiters_never_sleep_out_a_lost_wakeup() {
+    let words = zarf::asm::assemble(program_sources()[0]).unwrap();
+    let fleet = Fleet::start(FleetConfig {
+        workers: 1,
+        resident_per_worker: None,
+        session: SessionConfig::default(),
+        chaos: None,
+        store: None,
+        repl: None,
+    })
+    .unwrap();
+    let handle = fleet.handle();
+    let id = handle.open_program(&words, None).unwrap();
+    let ops: Vec<Op> = (0..200)
+        .map(|i| Op::step(WORK_ITEM, vec![i], vec![]))
+        .collect();
+    let start = std::time::Instant::now();
+    for (i, op) in ops.iter().enumerate() {
+        handle.inject(id, op.clone()).unwrap();
+        if i % 2 == 0 {
+            handle.wait_idle(id, WAIT).unwrap();
+        } else {
+            handle.wait_all_idle(WAIT).unwrap();
+        }
+    }
+    let elapsed = start.elapsed();
+    let (want, _) = run_standalone(&words, &SessionConfig::default(), &ops).unwrap();
+    assert_eq!(handle.poll(id).unwrap().words, want);
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "200 inject/wait cycles took {elapsed:?} (200 lost wakeups would take 1 s)"
+    );
+}
