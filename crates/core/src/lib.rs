@@ -71,6 +71,7 @@
 
 pub mod ast;
 pub mod builder;
+pub mod bytes;
 pub mod crc;
 pub mod env;
 pub mod error;
@@ -82,6 +83,7 @@ pub mod step;
 pub mod value;
 
 pub use ast::{Arg, Branch, Callee, ConDecl, Decl, Expr, FunDecl, Pattern, Program};
+pub use bytes::{ByteError, ByteReader};
 pub use crc::{crc32, Crc32};
 pub use error::{EvalError, RuntimeError};
 pub use eval::Evaluator;

@@ -22,7 +22,7 @@ use zarf_core::{Int, Word};
 use zarf_trace::metrics::Histogram;
 
 use crate::poll::{would_block, IdleBackoff, WriteBuf};
-use crate::wire::{write_frame, FrameBuffer, Request, Response, RetryPolicy};
+use crate::wire::{FrameBuffer, Request, Response, RetryPolicy, ZFLT};
 use crate::{FleetError, Op, SessionConfig};
 
 /// The checked counter workload: each op threads the running sum through
@@ -258,12 +258,7 @@ impl BenchConn {
     }
 
     fn queue_request(&mut self, req: &Request) {
-        let mut frame = Vec::new();
-        if write_frame(&mut frame, &req.encode()).is_err() {
-            self.fail();
-            return;
-        }
-        self.wr.queue(&frame);
+        self.wr.queue(&ZFLT.encode(&req.encode()));
         self.inflight.push_back(Instant::now());
     }
 

@@ -28,8 +28,7 @@ use zarf_chaos::{FaultKind, FaultPlan, FaultSite, InjectedFault};
 use zarf_core::{Int, Word};
 use zarf_hw::{verify_container, Hw, HwConfig, MachineSnapshot, Stats, DEFAULT_HEAP_WORDS};
 use zarf_store::{SessionMeta, Store};
-use zarf_trace::metrics::{Histogram, MetricsSink};
-use zarf_trace::{Event, SharedSink, TraceSink};
+use zarf_trace::metrics::Histogram;
 
 use crate::op::{apply_op, hw_config, Op};
 use crate::repl::ReplSink;
@@ -252,8 +251,6 @@ struct Slot {
     snapshot: Backing,
     /// Machine statistics at the last commit.
     stats: Stats,
-    /// Aggregated per-session metrics (merged at each commit).
-    metrics: MetricsSink,
     /// Ops injected but not yet committed.
     pending: VecDeque<Op>,
     /// Output words committed but not yet polled.
@@ -504,14 +501,13 @@ pub struct FleetHandle {
 
 /// Everything a successful slice hands back for the commit phase: new
 /// snapshot bytes, the machine (for the resident cache), stats, outputs,
-/// executed-op count, and merged metrics.
+/// and executed-op count.
 struct SliceCommit {
     snapshot: Vec<u8>,
     hw: Hw,
     stats: Stats,
     out: Vec<Int>,
     executed: usize,
-    metrics: MetricsSink,
 }
 
 /// Outcome of the unlocked run phase of one slice.
@@ -661,11 +657,9 @@ impl Worker {
                         stats,
                         out,
                         executed,
-                        metrics,
                     } = *commit;
                     if !s.closed {
                         s.stats = stats;
-                        s.metrics.merge(&metrics);
                         for _ in 0..executed {
                             s.pending.pop_front();
                         }
@@ -675,10 +669,9 @@ impl Worker {
                         // Durability: write the commit through the store.
                         // On failure the bytes stay resident in the slot —
                         // no state is lost — but the degradation is loud:
-                        // a trace event and a fleet-wide counter record
-                        // that recovery will miss this commit, and the
-                        // stalled store sheds new work at the inject
-                        // boundary.
+                        // a fleet-wide counter records that recovery will
+                        // miss this commit, and the stalled store sheds new
+                        // work at the inject boundary.
                         let commit_seq = s.commit_seq;
                         s.snapshot = match &self.shared.cfg.store {
                             Some(store) => {
@@ -700,12 +693,7 @@ impl Worker {
                                             len: snapshot.len(),
                                         }
                                     }
-                                    Err(e) => {
-                                        s.metrics.event(&Event::StoreWriteFail {
-                                            session: id,
-                                            commit_seq,
-                                            error: e.kind(),
-                                        });
+                                    Err(_) => {
                                         self.shared
                                             .counters
                                             .store_write_fails
@@ -818,8 +806,6 @@ impl Worker {
             }
         };
 
-        let sink = SharedSink::new(MetricsSink::new());
-        hw.set_sink(Box::new(sink.clone()));
         let start = hw.stats().total_cycles();
         let mut out = Vec::new();
         let mut executed = 0usize;
@@ -838,13 +824,10 @@ impl Worker {
                 break;
             }
         }
-        drop(hw.take_sink());
-        let metrics = sink.try_into_inner().unwrap_or_default();
-
         if matches!(fault, Some(FaultKind::SessionKill)) {
-            // The worker "dies" before committing: machine, outputs, and
-            // metrics all evaporate. Determinism of `apply_op` makes the
-            // replay byte-identical.
+            // The worker "dies" before committing: machine and outputs
+            // evaporate. Determinism of `apply_op` makes the replay
+            // byte-identical.
             return SliceRun::Killed;
         }
         if gc_failed {
@@ -858,7 +841,6 @@ impl Worker {
                 stats,
                 out,
                 executed,
-                metrics,
             })),
             Err(e) => SliceRun::Poison(format!("hibernate: {e}")),
         }
@@ -957,7 +939,6 @@ impl FleetHandle {
             config,
             snapshot,
             stats,
-            metrics: MetricsSink::new(),
             pending: VecDeque::new(),
             outputs: Vec::new(),
             ops_done: 0,
@@ -1125,13 +1106,6 @@ impl FleetHandle {
         let slot = self.shared.slot(id)?;
         let faults = lock(&slot).injected.clone();
         Ok(faults)
-    }
-
-    /// The session's aggregated metrics (merged at each commit).
-    pub fn session_metrics(&self, id: u64) -> Result<MetricsSink, FleetError> {
-        let slot = self.shared.slot(id)?;
-        let metrics = lock(&slot).metrics.clone();
-        Ok(metrics)
     }
 
     /// Block until the session has no uncommitted work (or `timeout`
@@ -1332,7 +1306,6 @@ impl Fleet {
                             len: rec.snap_len as usize,
                         },
                         stats: Stats::default(),
-                        metrics: MetricsSink::new(),
                         pending: VecDeque::new(),
                         outputs: Vec::new(),
                         ops_done: rec.ops_done,

@@ -56,20 +56,20 @@
 //! exactly these paths.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite};
-use zarf_core::crc32;
+use zarf_core::ByteReader;
 use zarf_hw::verify_container;
 use zarf_store::{content_hash, ChunkId, SessionRecord, Store};
 
 use crate::wire::{
-    put_bytes, put_string, put_u32, put_u64, Reader, RetryPolicy, WireError, FRAME_OVERHEAD,
-    MAX_FRAME_PAYLOAD,
+    put_bytes, put_string, put_u32, put_u64, read_bytes, read_string, Framing, RetryPolicy,
+    WireError,
 };
 use crate::{FleetError, Request, Response};
 
@@ -86,147 +86,12 @@ pub const REPL_ERR_PROTOCOL: u32 = 2;
 /// Error code: a chunk's bytes did not hash to its claimed id.
 pub const REPL_ERR_HASH: u32 = 3;
 
-// -- framing ------------------------------------------------------------------
-
-/// Wrap a payload in a `ZREP` frame (magic, version, length, CRC).
-pub fn encode_repl_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&REPL_MAGIC);
-    out.push(REPL_VERSION);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(&mut out, crc32(payload));
-    out
-}
-
-/// Unwrap a `ZREP` frame that must span the buffer exactly.
-pub fn decode_repl_frame(buf: &[u8]) -> Result<&[u8], WireError> {
-    if buf.len() < FRAME_OVERHEAD {
-        return Err(WireError::Truncated);
-    }
-    if buf[0..4] != REPL_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[4] != REPL_VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    let declared = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as u64;
-    if declared > MAX_FRAME_PAYLOAD as u64 {
-        return Err(WireError::Oversize(declared));
-    }
-    let actual = (buf.len() - FRAME_OVERHEAD) as u64;
-    if declared != actual {
-        return Err(WireError::LengthMismatch { declared, actual });
-    }
-    let payload = &buf[9..buf.len() - 4];
-    let crc_bytes = &buf[buf.len() - 4..];
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc != crc32(payload) {
-        return Err(WireError::CrcMismatch);
-    }
-    Ok(payload)
-}
-
-/// Write one framed `ZREP` payload to a stream.
-pub fn write_repl_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let frame = encode_repl_frame(payload);
-    w.write_all(&frame)
-        .map_err(|e| WireError::Io(e.to_string()))
-}
-
-/// Read one framed `ZREP` payload from a stream.
-pub fn read_repl_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    if header[0..4] != REPL_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if header[4] != REPL_VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversize(len as u64));
-    }
-    let mut rest = vec![0u8; len + 4];
-    r.read_exact(&mut rest)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&rest);
-    decode_repl_frame(&frame).map(<[u8]>::to_vec)
-}
-
-// -- record codec -------------------------------------------------------------
-
-/// Serialize a store session record for the wire (mirrors the store's
-/// own durable layout field for field, so the record the destination
-/// adopts is exactly the record the source committed).
-pub fn encode_record(rec: &SessionRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(73 + 16 * rec.chunks.len());
-    put_u64(&mut out, rec.id);
-    put_u64(&mut out, rec.commit_seq);
-    put_u64(&mut out, rec.ops_done);
-    put_u64(&mut out, rec.heap_words);
-    put_u64(&mut out, rec.op_budget);
-    put_u64(&mut out, rec.fuel_slice);
-    out.push(rec.verified as u8);
-    put_u64(&mut out, rec.snap_len);
-    out.extend_from_slice(&rec.snap_hash.0);
-    put_u32(&mut out, rec.chunks.len() as u32);
-    for c in &rec.chunks {
-        out.extend_from_slice(&c.0);
-    }
-    out
-}
-
-fn read_chunk_id(r: &mut Reader<'_>) -> Result<ChunkId, WireError> {
-    let b = r.take(16)?;
-    let mut id = [0u8; 16];
-    id.copy_from_slice(b);
-    Ok(ChunkId(id))
-}
-
-fn read_record(r: &mut Reader<'_>) -> Result<SessionRecord, WireError> {
-    let id = r.u64()?;
-    let commit_seq = r.u64()?;
-    let ops_done = r.u64()?;
-    let heap_words = r.u64()?;
-    let op_budget = r.u64()?;
-    let fuel_slice = r.u64()?;
-    let verified = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("verified flag")),
-    };
-    let snap_len = r.u64()?;
-    let snap_hash = read_chunk_id(r)?;
-    let n = r.count(16)?;
-    let mut chunks = Vec::with_capacity(n);
-    for _ in 0..n {
-        chunks.push(read_chunk_id(r)?);
-    }
-    Ok(SessionRecord {
-        id,
-        commit_seq,
-        ops_done,
-        heap_words,
-        op_budget,
-        fuel_slice,
-        verified,
-        snap_len,
-        snap_hash,
-        chunks,
-    })
-}
-
-/// Deserialize a session record; the whole buffer must be consumed.
-pub fn decode_record(buf: &[u8]) -> Result<SessionRecord, WireError> {
-    let mut r = Reader::new(buf);
-    let rec = read_record(&mut r)?;
-    r.finish()?;
-    Ok(rec)
-}
+/// The replication link's framing: the `ZFLT` layout under its own
+/// magic and version.
+pub const ZREP: Framing = Framing {
+    magic: REPL_MAGIC,
+    version: REPL_VERSION,
+};
 
 // -- message codec ------------------------------------------------------------
 
@@ -324,7 +189,7 @@ impl ReplMsg {
             }
             ReplMsg::Offer { rec } => {
                 out.push(OP_OFFER);
-                out.extend_from_slice(&encode_record(rec));
+                rec.encode_into(&mut out);
             }
             ReplMsg::Need { already, chunks } => {
                 out.push(OP_NEED);
@@ -374,7 +239,7 @@ impl ReplMsg {
 
     /// Deserialize from a payload; the whole payload must be consumed.
     pub fn decode(payload: &[u8]) -> Result<ReplMsg, WireError> {
-        let mut r = Reader::new(payload);
+        let mut r = ByteReader::new(payload);
         let msg = match r.u8()? {
             OP_HELLO => ReplMsg::Hello,
             OP_HELLO_ACK => {
@@ -386,24 +251,20 @@ impl ReplMsg {
                 ReplMsg::HelloAck { acked }
             }
             OP_OFFER => ReplMsg::Offer {
-                rec: read_record(&mut r)?,
+                rec: SessionRecord::read(&mut r)?,
             },
             OP_NEED => {
-                let already = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("already flag")),
-                };
+                let already = r.flag("already flag")?;
                 let n = r.count(16)?;
                 let mut chunks = Vec::with_capacity(n);
                 for _ in 0..n {
-                    chunks.push(read_chunk_id(&mut r)?);
+                    chunks.push(ChunkId(r.array()?));
                 }
                 ReplMsg::Need { already, chunks }
             }
             OP_CHUNK => ReplMsg::Chunk {
-                id: read_chunk_id(&mut r)?,
-                bytes: r.bytes()?,
+                id: ChunkId(r.array()?),
+                bytes: read_bytes(&mut r)?,
             },
             OP_COMMIT => ReplMsg::Commit {
                 session: r.u64()?,
@@ -417,7 +278,7 @@ impl ReplMsg {
             OP_CLOSE_ACK => ReplMsg::CloseAck { session: r.u64()? },
             OP_ERR => ReplMsg::Err {
                 code: r.u32()?,
-                message: r.string()?,
+                message: read_string(&mut r)?,
             },
             op => return Err(WireError::UnknownOpcode(op)),
         };
@@ -633,7 +494,7 @@ impl ChaosLink<'_> {
     }
 
     fn send(&mut self, msg: &ReplMsg) -> Result<(), WireError> {
-        let frame = encode_repl_frame(&msg.encode());
+        let frame = ZREP.encode(&msg.encode());
         let fault = self
             .chaos
             .and_then(|p| p.at(FaultSite::Repl, *self.frames_sent));
@@ -679,7 +540,7 @@ impl ChaosLink<'_> {
     }
 
     fn recv(&mut self) -> Result<ReplMsg, WireError> {
-        let payload = read_repl_frame(&mut self.stream)?;
+        let payload = ZREP.read(&mut self.stream)?;
         ReplMsg::decode(&payload)
     }
 
@@ -906,7 +767,7 @@ fn serve_repl_conn(
     // Records offered but not yet committed on this connection.
     let mut pending: HashMap<u64, SessionRecord> = HashMap::new();
     let reply = |stream: &mut TcpStream, msg: &ReplMsg| -> bool {
-        write_repl_frame(stream, &msg.encode()).is_ok()
+        ZREP.write(stream, &msg.encode()).is_ok()
     };
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -926,7 +787,7 @@ fn serve_repl_conn(
             }
             Err(_) => return,
         }
-        let msg = match read_repl_frame(&mut stream) {
+        let msg = match ZREP.read(&mut stream) {
             Ok(payload) => match ReplMsg::decode(&payload) {
                 Ok(m) => m,
                 Err(_) => {
@@ -1165,7 +1026,7 @@ pub fn migrate_session(
                 ))))
             }
         };
-        let rec = decode_record(&record)?;
+        let rec = SessionRecord::decode(&record).map_err(WireError::from)?;
         if rec.commit_seq != commit_seq {
             return Err(FleetError::Wire(WireError::Io(format!(
                 "manifest seq {} behind quiesced seq {commit_seq}",
@@ -1178,8 +1039,8 @@ pub fn migrate_session(
         let _ = dst.set_write_timeout(Some(policy.op_deadline));
         let _ = dst.set_nodelay(true);
         let call = |dst: &mut TcpStream, msg: &ReplMsg| -> Result<ReplMsg, FleetError> {
-            write_repl_frame(dst, &msg.encode())?;
-            let payload = read_repl_frame(dst)?;
+            ZREP.write(dst, &msg.encode())?;
+            let payload = ZREP.read(dst)?;
             Ok(ReplMsg::decode(&payload)?)
         };
         match call(&mut dst, &ReplMsg::Hello)? {
@@ -1216,7 +1077,7 @@ pub fn migrate_session(
                         ))))
                     }
                 };
-                write_repl_frame(
+                ZREP.write(
                     &mut dst,
                     &ReplMsg::Chunk {
                         id: chunk,
@@ -1284,6 +1145,7 @@ pub fn migrate_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zarf_testkit::fnv1a;
 
     fn sample_record() -> SessionRecord {
         SessionRecord {
@@ -1339,11 +1201,61 @@ mod tests {
     }
 
     #[test]
+    fn frame_and_record_bytes_are_pinned() {
+        // Recorded before ZREP shared the ZFLT frame codec and the
+        // store's record codec: one frame per message kind, then the
+        // bare record, every byte where it was.
+        let mut record = Vec::new();
+        sample_record().encode_into(&mut record);
+        let pins: Vec<(usize, u64)> = sample_msgs()
+            .iter()
+            .map(|m| ZREP.encode(&m.encode()))
+            .chain([record])
+            .map(|f| (f.len(), fnv1a(&f)))
+            .collect();
+        assert_eq!(
+            pins,
+            [
+                (14, 0xA654_D20D_2583_A715),
+                (50, 0x43D0_10FE_E7E7_BD9C),
+                (139, 0x770B_E4B3_2C9E_1AF4),
+                (35, 0x1C5F_9481_6373_420C),
+                (19, 0x4D80_3A59_FED9_EB83),
+                (38, 0xBDFF_F5CD_7B84_0FC6),
+                (30, 0xB8D6_F854_A073_D8B0),
+                (30, 0xA117_6581_9B4E_8AE6),
+                (22, 0xFF7E_C3CB_DD95_69CA),
+                (22, 0x85F7_1C1B_6D54_7BE0),
+                (31, 0xBE1B_13F4_4844_663A),
+                (125, 0xFA1C_3823_7A9D_17D9),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_verified_byte_other_than_zero_or_one_is_refused() {
+        let mut record = Vec::new();
+        sample_record().encode_into(&mut record);
+        // `verified` sits after six u64 fields.
+        record[48] = 2;
+        assert_eq!(
+            SessionRecord::decode(&record).map_err(WireError::from),
+            Err(WireError::Malformed("verified flag"))
+        );
+        let mut offer = vec![OP_OFFER];
+        offer.extend_from_slice(&record);
+        assert_eq!(
+            ReplMsg::decode(&offer),
+            Err(WireError::Malformed("verified flag"))
+        );
+    }
+
+    #[test]
     fn messages_round_trip_through_frames() {
         for msg in sample_msgs() {
             let payload = msg.encode();
-            let frame = encode_repl_frame(&payload);
-            let back = decode_repl_frame(&frame).unwrap();
+            let frame = ZREP.encode(&payload);
+            let back = ZREP.decode(&frame).unwrap();
             assert_eq!(ReplMsg::decode(back).unwrap(), msg);
         }
     }
@@ -1351,19 +1263,20 @@ mod tests {
     #[test]
     fn records_round_trip_exactly() {
         let rec = sample_record();
-        let bytes = encode_record(&rec);
-        assert_eq!(decode_record(&bytes).unwrap(), rec);
+        let mut bytes = Vec::new();
+        rec.encode_into(&mut bytes);
+        assert_eq!(SessionRecord::decode(&bytes).unwrap(), rec);
         // Exact consume: a trailing byte is rejected.
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(decode_record(&padded).is_err());
+        assert!(SessionRecord::decode(&padded).is_err());
         // And a truncated record is rejected.
-        assert!(decode_record(&bytes[..bytes.len() - 1]).is_err());
+        assert!(SessionRecord::decode(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
     fn every_single_bit_flip_is_rejected_on_a_sample_frame() {
-        let frame = encode_repl_frame(
+        let frame = ZREP.encode(
             &ReplMsg::Commit {
                 session: 3,
                 commit_seq: 9,
@@ -1374,7 +1287,9 @@ mod tests {
             for bit in 0..8 {
                 let mut dam = frame.clone();
                 dam[byte] ^= 1 << bit;
-                let verdict = decode_repl_frame(&dam).and_then(|p| ReplMsg::decode(p).map(|_| ()));
+                let verdict = ZREP
+                    .decode(&dam)
+                    .and_then(|p| ReplMsg::decode(p).map(|_| ()));
                 assert!(
                     verdict.is_err(),
                     "flip at byte {byte} bit {bit} went undetected"
@@ -1385,9 +1300,9 @@ mod tests {
 
     #[test]
     fn zrep_frames_are_not_zflt_frames() {
-        let frame = encode_repl_frame(&ReplMsg::Hello.encode());
+        let frame = ZREP.encode(&ReplMsg::Hello.encode());
         assert_eq!(
-            crate::wire::decode_frame(&frame),
+            crate::wire::ZFLT.decode(&frame),
             Err(WireError::BadMagic),
             "a ZREP frame must never decode as ZFLT"
         );

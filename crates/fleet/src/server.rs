@@ -45,9 +45,9 @@ use zarf_chaos::{FaultKind, FaultPlan, FaultSite};
 use crate::fleet::FleetHandle;
 use crate::poll::{would_block, IdleBackoff, WriteBuf};
 use crate::wire::{
-    read_frame, write_frame, FrameBuffer, Request, Response, RetryPolicy, WireError,
-    ERR_CERTIFICATION, ERR_FROZEN, ERR_INTERNAL, ERR_LOAD, ERR_OVERLOADED, ERR_POISONED,
-    ERR_SHUTDOWN, ERR_SNAPSHOT, ERR_UNKNOWN_SESSION, MAX_FRAME_PAYLOAD,
+    FrameBuffer, Request, Response, RetryPolicy, WireError, ERR_CERTIFICATION, ERR_FROZEN,
+    ERR_INTERNAL, ERR_LOAD, ERR_OVERLOADED, ERR_POISONED, ERR_SHUTDOWN, ERR_SNAPSHOT,
+    ERR_UNKNOWN_SESSION, MAX_FRAME_PAYLOAD, ZFLT,
 };
 use crate::FleetError;
 
@@ -160,9 +160,13 @@ pub fn dispatch(handle: &FleetHandle, req: &Request) -> Response {
                         .find(|rec| rec.id == *session)
                         .ok_or(FleetError::UnknownSession(*session))
                 })
-                .map(|rec| Response::ManifestData {
-                    session: *session,
-                    record: crate::repl::encode_record(&rec),
+                .map(|rec| {
+                    let mut record = Vec::new();
+                    rec.encode_into(&mut record);
+                    Response::ManifestData {
+                        session: *session,
+                        record,
+                    }
                 }),
             Request::FetchChunk { id } => handle
                 .store()
@@ -266,12 +270,7 @@ impl Conn {
 fn queue_response(conn: &mut Conn, resp: &Response, chaos: &FaultPlan, write_events: &mut u64) {
     let idx = *write_events;
     *write_events += 1;
-    let mut frame = Vec::new();
-    if write_frame(&mut frame, &resp.encode()).is_err() {
-        // Response exceeds the frame size cap — nothing valid to send.
-        conn.dead = true;
-        return;
-    }
+    let frame = ZFLT.encode(&resp.encode());
     match chaos.at(FaultSite::Fleet, idx) {
         Some(FaultKind::ConnKill) => conn.dead = true,
         Some(FaultKind::PartialWrite) => {
@@ -526,12 +525,12 @@ impl Client {
     /// connection's requests in order, so `n` sends followed by `n`
     /// recvs see matching responses.
     pub fn send(&mut self, req: &Request) -> Result<(), WireError> {
-        write_frame(&mut self.stream, &req.encode())
+        ZFLT.write(&mut self.stream, &req.encode())
     }
 
     /// Block for the next response frame.
     pub fn recv(&mut self) -> Result<Response, WireError> {
-        let payload = read_frame(&mut self.stream)?;
+        let payload = ZFLT.read(&mut self.stream)?;
         Response::decode(&payload)
     }
 

@@ -23,7 +23,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::time::Duration;
 
-use zarf_core::{crc32, Int, Word};
+use zarf_core::{crc32, ByteError, ByteReader, Int, Word};
 
 use crate::fleet::SessionConfig;
 use crate::op::{Op, PortFeed};
@@ -294,87 +294,35 @@ pub enum Response {
 
 // -- primitive readers/writers ----------------------------------------------
 
-/// Exact-consume cursor over a payload. Shared with the `ZREP`
-/// replication codec (`crate::repl`), which reuses the same primitive
-/// discipline on its own frames.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<ByteError> for WireError {
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::Truncated => WireError::Truncated,
+            ByteError::Trailing => WireError::TrailingBytes,
+            ByteError::Invalid(what) => WireError::Malformed(what),
+        }
+    }
 }
 
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+/// A length-prefixed byte string.
+pub(crate) fn read_bytes(r: &mut ByteReader<'_>) -> Result<Vec<u8>, WireError> {
+    let n = r.count(1)?;
+    Ok(r.take(n)?.to_vec())
+}
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+fn read_ints(r: &mut ByteReader<'_>) -> Result<Vec<Int>, WireError> {
+    let n = r.count(4)?;
+    (0..n).map(|_| Ok(r.i32()?)).collect()
+}
 
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
+fn read_words(r: &mut ByteReader<'_>) -> Result<Vec<Word>, WireError> {
+    let n = r.count(4)?;
+    (0..n).map(|_| Ok(r.u32()?)).collect()
+}
 
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn i32(&mut self) -> Result<i32, WireError> {
-        Ok(self.u32()? as i32)
-    }
-
-    /// A u32 count that must be plausible for `elem_bytes`-sized elements
-    /// in the remaining buffer (rejects hostile lengths before allocating).
-    pub(crate) fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let need = n.checked_mul(elem_bytes).ok_or(WireError::Truncated)?;
-        if need > self.buf.len().saturating_sub(self.pos) {
-            return Err(WireError::Truncated);
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn ints(&mut self) -> Result<Vec<Int>, WireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.i32()).collect()
-    }
-
-    pub(crate) fn words(&mut self) -> Result<Vec<Word>, WireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
-        let b = self.bytes()?;
-        String::from_utf8(b).map_err(|_| WireError::Malformed("invalid UTF-8"))
-    }
-
-    pub(crate) fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
+/// A length-prefixed UTF-8 string.
+pub(crate) fn read_string(r: &mut ByteReader<'_>) -> Result<String, WireError> {
+    String::from_utf8(read_bytes(r)?).map_err(|_| WireError::Malformed("invalid UTF-8"))
 }
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -421,16 +369,12 @@ fn put_config(out: &mut Vec<u8>, c: &SessionConfig) {
     out.push(c.verified as u8);
 }
 
-fn read_config(r: &mut Reader<'_>) -> Result<SessionConfig, WireError> {
+fn read_config(r: &mut ByteReader<'_>) -> Result<SessionConfig, WireError> {
     let heap_words = r.u64()?;
     let heap_words = usize::try_from(heap_words).map_err(|_| WireError::Malformed("heap size"))?;
     let op_budget = r.u64()?;
     let fuel_slice = r.u64()?;
-    let verified = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("verified flag")),
-    };
+    let verified = r.flag("verified flag")?;
     Ok(SessionConfig {
         heap_words,
         op_budget,
@@ -454,15 +398,15 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
     }
 }
 
-fn read_op(r: &mut Reader<'_>) -> Result<Op, WireError> {
+fn read_op(r: &mut ByteReader<'_>) -> Result<Op, WireError> {
     let tag = r.u8()?;
     let item = r.u32()?;
-    let args = r.ints()?;
+    let args = read_ints(r)?;
     let n = r.count(8)?; // each feed is at least port (4) + count (4)
     let mut inputs = Vec::with_capacity(n);
     for _ in 0..n {
         let port = r.i32()?;
-        let words = r.ints()?;
+        let words = read_ints(r)?;
         inputs.push(PortFeed { port, words });
     }
     match tag {
@@ -570,15 +514,15 @@ impl Request {
 
     /// Deserialize from a payload; the whole payload must be consumed.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(payload);
+        let mut r = ByteReader::new(payload);
         let req = match r.u8()? {
             OP_LOAD_PROGRAM => Request::LoadProgram {
                 config: read_config(&mut r)?,
-                program: r.words()?,
+                program: read_words(&mut r)?,
             },
             OP_RESTORE => Request::Restore {
                 config: read_config(&mut r)?,
-                snapshot: r.bytes()?,
+                snapshot: read_bytes(&mut r)?,
             },
             OP_INJECT => Request::Inject {
                 session: r.u64()?,
@@ -601,19 +545,10 @@ impl Request {
             }
             OP_QUIESCE => Request::Quiesce { session: r.u64()? },
             OP_SESSION_MANIFEST => Request::SessionManifest { session: r.u64()? },
-            OP_FETCH_CHUNK => {
-                let b = r.take(16)?;
-                let mut id = [0u8; 16];
-                id.copy_from_slice(b);
-                Request::FetchChunk { id }
-            }
+            OP_FETCH_CHUNK => Request::FetchChunk { id: r.array()? },
             OP_RELEASE => Request::Release {
                 session: r.u64()?,
-                resume: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("resume flag")),
-                },
+                resume: r.flag("resume flag")?,
             },
             op => return Err(WireError::UnknownOpcode(op)),
         };
@@ -709,7 +644,7 @@ impl Response {
 
     /// Deserialize from a payload; the whole payload must be consumed.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let mut r = Reader::new(payload);
+        let mut r = ByteReader::new(payload);
         let resp = match r.u8()? {
             OP_OPENED => Response::Opened { session: r.u64()? },
             OP_ACCEPTED => Response::Accepted {
@@ -725,17 +660,17 @@ impl Response {
                 session: r.u64()?,
                 ops_done: r.u64()?,
                 pending: r.u64()?,
-                words: r.ints()?,
+                words: read_ints(&mut r)?,
             },
             OP_SNAPSHOT_DATA => Response::SnapshotData {
                 session: r.u64()?,
-                bytes: r.bytes()?,
+                bytes: read_bytes(&mut r)?,
             },
             OP_STATS_DATA => {
                 let n = r.count(12)?; // name length prefix + value
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let name = r.string()?;
+                    let name = read_string(&mut r)?;
                     let value = r.u64()?;
                     pairs.push((name, value));
                 }
@@ -745,7 +680,7 @@ impl Response {
             OP_BYE => Response::Bye,
             OP_ERROR => Response::Error {
                 code: r.u32()?,
-                message: r.string()?,
+                message: read_string(&mut r)?,
             },
             OP_QUIESCED => Response::Quiesced {
                 session: r.u64()?,
@@ -753,16 +688,14 @@ impl Response {
             },
             OP_MANIFEST_DATA => Response::ManifestData {
                 session: r.u64()?,
-                record: r.bytes()?,
+                record: read_bytes(&mut r)?,
             },
-            OP_CHUNK_DATA => Response::ChunkData { bytes: r.bytes()? },
+            OP_CHUNK_DATA => Response::ChunkData {
+                bytes: read_bytes(&mut r)?,
+            },
             OP_RELEASED => Response::Released {
                 session: r.u64()?,
-                resumed: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("resumed flag")),
-                },
+                resumed: r.flag("resumed flag")?,
             },
             op => return Err(WireError::UnknownOpcode(op)),
         };
@@ -773,56 +706,29 @@ impl Response {
 
 // -- framing ------------------------------------------------------------------
 
-/// Wrap a payload in a `ZFLT` frame (magic, version, length, CRC).
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(payload);
-    put_u32(&mut out, crc32(payload));
-    out
+/// A frame format. `ZFLT` and `ZREP` share one layout — magic, version
+/// byte, u32 LE payload length, payload, CRC-32 of the payload — and
+/// differ only in magic and version, so both go through this one codec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Framing {
+    /// First four bytes of every frame.
+    pub magic: [u8; 4],
+    /// The version byte.
+    pub version: u8,
 }
 
-/// Unwrap a `ZFLT` frame that must span the buffer exactly, returning the
-/// verified payload.
-pub fn decode_frame(buf: &[u8]) -> Result<&[u8], WireError> {
-    if buf.len() < FRAME_OVERHEAD {
-        return Err(WireError::Truncated);
-    }
-    if buf[0..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    let declared = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as u64;
-    if declared > MAX_FRAME_PAYLOAD as u64 {
-        return Err(WireError::Oversize(declared));
-    }
-    let actual = (buf.len() - FRAME_OVERHEAD) as u64;
-    if declared != actual {
-        return Err(WireError::LengthMismatch { declared, actual });
-    }
-    let payload = &buf[9..buf.len() - 4];
-    let crc_bytes = &buf[buf.len() - 4..];
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc != crc32(payload) {
-        return Err(WireError::CrcMismatch);
-    }
-    Ok(payload)
-}
+/// The fleet protocol's framing.
+pub const ZFLT: Framing = Framing {
+    magic: MAGIC,
+    version: VERSION,
+};
 
-/// Write one framed payload to a stream.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    let frame = encode_frame(payload);
-    w.write_all(&frame)
-        .map_err(|e| WireError::Io(e.to_string()))
-}
+/// Bytes before the payload: magic, version, length.
+const FRAME_HEADER: usize = 9;
 
 /// Where a complete frame sits at the front of a scanned buffer (byte
-/// offsets into that buffer). Returned by [`scan_frame`] so callers can
-/// borrow the payload in place instead of copying it out.
+/// offsets into that buffer). Returned by [`Framing::scan`] so callers
+/// can borrow the payload in place instead of copying it out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameSpan {
     /// First payload byte.
@@ -833,58 +739,128 @@ pub struct FrameSpan {
     pub frame_len: usize,
 }
 
-/// Scan the front of `buf` for one complete `ZFLT` frame without copying.
-///
-/// * `Ok(None)` — the buffer holds a valid prefix of a frame; read more
-///   bytes and scan again.
-/// * `Ok(Some(span))` — a whole frame (magic, version, length, CRC all
-///   verified) starts at offset 0; its payload is
-///   `&buf[span.payload_start..][..span.payload_len]`.
-/// * `Err(_)` — the stream is damaged at the front of the buffer. Framing
-///   has no resync point, so the caller must drop the connection.
-///
-/// This is the incremental face of [`decode_frame`]: for any `buf` that
-/// is exactly one frame, `scan_frame` accepts iff `decode_frame` does,
-/// and yields the same payload bytes (pinned by the property suite).
-pub fn scan_frame(buf: &[u8]) -> Result<Option<FrameSpan>, WireError> {
-    scan_frame_bounded(buf, MAX_FRAME_PAYLOAD)
-}
-
-/// [`scan_frame`] with a caller-chosen payload ceiling (clamped to the
-/// protocol-wide [`MAX_FRAME_PAYLOAD`]). A declared length above the
-/// ceiling is rejected as [`WireError::Oversize`] the moment the header
-/// is visible — before any buffer grows to hold the body — which is how
-/// a server bounds per-connection memory against hostile peers.
-pub fn scan_frame_bounded(buf: &[u8], max_payload: usize) -> Result<Option<FrameSpan>, WireError> {
-    // Validate the fixed header eagerly: damage is reported as soon as it
-    // is visible, not after a hostile length field forces a long wait.
-    if !buf.is_empty() && buf[0..buf.len().min(4)] != MAGIC[0..buf.len().min(4)] {
-        return Err(WireError::BadMagic);
-    }
-    if buf.len() >= 5 && buf[4] != VERSION {
-        return Err(WireError::BadVersion(buf[4]));
-    }
-    if buf.len() < 9 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]) as usize;
-    if len > max_payload.min(MAX_FRAME_PAYLOAD) {
-        return Err(WireError::Oversize(len as u64));
-    }
-    let total = FRAME_OVERHEAD + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[9..9 + len];
-    let crc = u32::from_le_bytes([buf[9 + len], buf[10 + len], buf[11 + len], buf[12 + len]]);
-    if crc != crc32(payload) {
+/// The payload of a frame that starts at `buf[0]` and declared `len`
+/// payload bytes, verified against the CRC that follows it.
+fn verified_payload(buf: &[u8], len: usize) -> Result<&[u8], WireError> {
+    let mut r = ByteReader::new(buf);
+    r.take(FRAME_HEADER)?;
+    let payload = r.take(len)?;
+    if r.u32()? != crc32(payload) {
         return Err(WireError::CrcMismatch);
     }
-    Ok(Some(FrameSpan {
-        payload_start: 9,
-        payload_len: len,
-        frame_len: total,
-    }))
+    Ok(payload)
+}
+
+impl Framing {
+    /// Wrap a payload in a frame.
+    pub fn encode(self, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+        out.extend_from_slice(&self.magic);
+        out.push(self.version);
+        put_u32(&mut out, payload.len() as u32);
+        out.extend_from_slice(payload);
+        put_u32(&mut out, crc32(payload));
+        out
+    }
+
+    /// Write one framed payload to a stream.
+    pub fn write<W: Write>(self, w: &mut W, payload: &[u8]) -> Result<(), WireError> {
+        w.write_all(&self.encode(payload))
+            .map_err(|e| WireError::Io(e.to_string()))
+    }
+
+    /// The one header parse. Magic and version are checked as soon as
+    /// their bytes are visible — damage is reported before a hostile
+    /// length field forces a long wait — and the declared payload length
+    /// is returned once the header is whole, refused as
+    /// [`WireError::Oversize`] above `max_payload` (clamped to
+    /// [`MAX_FRAME_PAYLOAD`]) before any buffer grows to hold the body.
+    fn header(self, buf: &[u8], max_payload: usize) -> Result<Option<usize>, WireError> {
+        let seen = buf.len().min(4);
+        if buf[..seen] != self.magic[..seen] {
+            return Err(WireError::BadMagic);
+        }
+        if let Some(&v) = buf.get(4) {
+            if v != self.version {
+                return Err(WireError::BadVersion(v));
+            }
+        }
+        let Some(&[a, b, c, d]) = buf.get(5..FRAME_HEADER) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes([a, b, c, d]) as usize;
+        if len > max_payload.min(MAX_FRAME_PAYLOAD) {
+            return Err(WireError::Oversize(len as u64));
+        }
+        Ok(Some(len))
+    }
+
+    /// Scan the front of `buf` for one complete frame without copying.
+    ///
+    /// * `Ok(None)` — the buffer holds a valid prefix of a frame; read
+    ///   more bytes and scan again.
+    /// * `Ok(Some(span))` — a whole frame (magic, version, length, CRC
+    ///   all verified) starts at offset 0; its payload is
+    ///   `&buf[span.payload_start..][..span.payload_len]`.
+    /// * `Err(_)` — the stream is damaged at the front of the buffer.
+    ///   Framing has no resync point, so the caller must drop the
+    ///   connection.
+    ///
+    /// A declared length above `max_payload` (clamped to
+    /// [`MAX_FRAME_PAYLOAD`]) is rejected as [`WireError::Oversize`] the
+    /// moment the header is visible, which is how a server bounds
+    /// per-connection memory against hostile peers. For any `buf` that is
+    /// exactly one frame, `scan` accepts iff [`Framing::decode`] does and
+    /// yields the same payload bytes (pinned by the property suite).
+    pub fn scan(self, buf: &[u8], max_payload: usize) -> Result<Option<FrameSpan>, WireError> {
+        let Some(len) = self.header(buf, max_payload)? else {
+            return Ok(None);
+        };
+        let frame_len = FRAME_OVERHEAD + len;
+        if buf.len() < frame_len {
+            return Ok(None);
+        }
+        verified_payload(buf, len)?;
+        Ok(Some(FrameSpan {
+            payload_start: FRAME_HEADER,
+            payload_len: len,
+            frame_len,
+        }))
+    }
+
+    /// Unwrap a frame that must span the buffer exactly, returning the
+    /// verified payload.
+    pub fn decode(self, buf: &[u8]) -> Result<&[u8], WireError> {
+        let declared = self
+            .header(buf, MAX_FRAME_PAYLOAD)?
+            .ok_or(WireError::Truncated)?;
+        let actual = buf.len().saturating_sub(FRAME_OVERHEAD);
+        if declared != actual {
+            return Err(WireError::LengthMismatch {
+                declared: declared as u64,
+                actual: actual as u64,
+            });
+        }
+        verified_payload(buf, declared)
+    }
+
+    /// Read one framed payload from a stream: header and body land in
+    /// one buffer, are verified in place, and the payload is returned in
+    /// that same allocation.
+    pub fn read<R: Read>(self, r: &mut R) -> Result<Vec<u8>, WireError> {
+        let io = |e: std::io::Error| WireError::Io(e.to_string());
+        let mut frame = vec![0u8; FRAME_HEADER];
+        r.read_exact(&mut frame).map_err(io)?;
+        let len = self
+            .header(&frame, MAX_FRAME_PAYLOAD)?
+            .ok_or(WireError::Truncated)?;
+        frame.resize(FRAME_OVERHEAD + len, 0);
+        r.read_exact(&mut frame[FRAME_HEADER..]).map_err(io)?;
+        verified_payload(&frame, len)?;
+        frame.truncate(FRAME_HEADER + len);
+        frame.drain(..FRAME_HEADER);
+        Ok(frame)
+    }
 }
 
 /// Reclaim consumed-prefix space once it dominates the buffer.
@@ -1000,7 +976,7 @@ impl FrameBuffer {
     /// practice: a damaged stream cannot be resynchronized, so the caller
     /// should drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        match scan_frame_bounded(&self.buf[self.start..], self.max_payload)? {
+        match ZFLT.scan(&self.buf[self.start..], self.max_payload)? {
             None => Ok(None),
             Some(span) => {
                 let at = self.start + span.payload_start;
@@ -1065,32 +1041,10 @@ impl RetryPolicy {
     }
 }
 
-/// Read one framed payload from a stream.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    if header[0..4] != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if header[4] != VERSION {
-        return Err(WireError::BadVersion(header[4]));
-    }
-    let len = u32::from_le_bytes([header[5], header[6], header[7], header[8]]) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Oversize(len as u64));
-    }
-    let mut rest = vec![0u8; len + 4];
-    r.read_exact(&mut rest)
-        .map_err(|e| WireError::Io(e.to_string()))?;
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&rest);
-    decode_frame(&frame).map(<[u8]>::to_vec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zarf_testkit::fnv1a;
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1204,12 +1158,63 @@ mod tests {
         ]
     }
 
+    /// `(length, FNV-1a)` of each frame, in sample order.
+    fn pins(frames: impl Iterator<Item = Vec<u8>>) -> Vec<(usize, u64)> {
+        frames.map(|f| (f.len(), fnv1a(&f))).collect()
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // Recorded before ZFLT and ZREP shared one frame codec: one frame
+        // per request and response kind, every byte where it was.
+        let requests = pins(sample_requests().iter().map(|r| ZFLT.encode(&r.encode())));
+        assert_eq!(
+            requests,
+            [
+                (59, 0x9A7B_768B_86A5_F011),
+                (47, 0x1745_C665_3713_E8B1),
+                (63, 0x0ED9_B0B0_737D_AB21),
+                (22, 0x36DF_EE97_CBB7_458F),
+                (22, 0x3EAD_D290_AAC0_A0DB),
+                (22, 0x2E0C_700D_B811_CCBA),
+                (22, 0x99E1_1A3E_C345_45F1),
+                (14, 0x4811_AA7D_EEF6_E094),
+                (72, 0x152B_A4F1_D1C8_24E5),
+                (26, 0x424F_C096_81C3_F402),
+                (22, 0x9682_82A1_75D5_D569),
+                (22, 0xFD6C_83D1_4B80_44CF),
+                (30, 0x582C_D07D_F236_D52E),
+                (23, 0x8E65_E3BF_B6E6_88B8),
+                (23, 0xF4D1_7DC1_D8C6_D171),
+            ]
+        );
+        let responses = pins(sample_responses().iter().map(|r| ZFLT.encode(&r.encode())));
+        assert_eq!(
+            responses,
+            [
+                (22, 0xDD94_288D_9891_D9CF),
+                (30, 0x7AEA_62DF_8599_4411),
+                (54, 0xD72E_8959_24E2_CB62),
+                (30, 0x41D0_84FE_DB8A_EAC9),
+                (57, 0x9FB8_8D2F_DEF5_A5C2),
+                (38, 0xE820_FF5A_A1A2_1B1F),
+                (22, 0x6F93_6397_A4CA_AAE5),
+                (14, 0xD3A2_FDF8_28B2_CDE3),
+                (26, 0xECFB_D584_4D8A_ECDB),
+                (30, 0x1A6A_8F99_B3D0_6D13),
+                (30, 0x1D62_1169_0C55_C257),
+                (51, 0x0EE9_8DF0_1C40_F80B),
+                (23, 0x761E_CAFC_8392_C696),
+            ]
+        );
+    }
+
     #[test]
     fn requests_round_trip() {
         for req in sample_requests() {
             let payload = req.encode();
-            let frame = encode_frame(&payload);
-            let back = decode_frame(&frame).unwrap();
+            let frame = ZFLT.encode(&payload);
+            let back = ZFLT.decode(&frame).unwrap();
             assert_eq!(Request::decode(back).unwrap(), req);
         }
     }
@@ -1218,20 +1223,22 @@ mod tests {
     fn responses_round_trip() {
         for resp in sample_responses() {
             let payload = resp.encode();
-            let frame = encode_frame(&payload);
-            let back = decode_frame(&frame).unwrap();
+            let frame = ZFLT.encode(&payload);
+            let back = ZFLT.decode(&frame).unwrap();
             assert_eq!(Response::decode(back).unwrap(), resp);
         }
     }
 
     #[test]
     fn every_single_bit_flip_is_rejected_on_a_sample_frame() {
-        let frame = encode_frame(&Request::Poll { session: 3 }.encode());
+        let frame = ZFLT.encode(&Request::Poll { session: 3 }.encode());
         for byte in 0..frame.len() {
             for bit in 0..8 {
                 let mut dam = frame.clone();
                 dam[byte] ^= 1 << bit;
-                let verdict = decode_frame(&dam).and_then(|p| Request::decode(p).map(|_| ()));
+                let verdict = ZFLT
+                    .decode(&dam)
+                    .and_then(|p| Request::decode(p).map(|_| ()));
                 assert!(
                     verdict.is_err(),
                     "flip at byte {byte} bit {bit} went undetected"
@@ -1244,9 +1251,9 @@ mod tests {
     fn stream_framing_round_trips() {
         let payload = Request::Stats { session: 0 }.encode();
         let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
+        ZFLT.write(&mut buf, &payload).unwrap();
         let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), payload);
+        assert_eq!(ZFLT.read(&mut cursor).unwrap(), payload);
         assert!(cursor.is_empty());
     }
 
@@ -1254,12 +1261,12 @@ mod tests {
     fn frame_buffer_matches_one_shot_decoding_at_every_split() {
         let frames: Vec<Vec<u8>> = sample_requests()
             .iter()
-            .map(|r| encode_frame(&r.encode()))
+            .map(|r| ZFLT.encode(&r.encode()))
             .collect();
         let stream: Vec<u8> = frames.concat();
         let payloads: Vec<Vec<u8>> = frames
             .iter()
-            .map(|f| decode_frame(f).unwrap().to_vec())
+            .map(|f| ZFLT.decode(f).unwrap().to_vec())
             .collect();
         // Feed the coalesced stream one byte at a time; the borrowed
         // payloads must come out identical to one-shot decoding.
@@ -1277,21 +1284,30 @@ mod tests {
 
     #[test]
     fn scan_frame_reports_damage_as_soon_as_it_is_visible() {
-        assert_eq!(scan_frame(b"ZF"), Ok(None));
-        assert_eq!(scan_frame(b"ZX"), Err(WireError::BadMagic));
-        assert_eq!(scan_frame(b"ZFLT\x07"), Err(WireError::BadVersion(7)));
+        assert_eq!(ZFLT.scan(b"ZF", MAX_FRAME_PAYLOAD), Ok(None));
+        assert_eq!(
+            ZFLT.scan(b"ZX", MAX_FRAME_PAYLOAD),
+            Err(WireError::BadMagic)
+        );
+        assert_eq!(
+            ZFLT.scan(b"ZFLT\x07", MAX_FRAME_PAYLOAD),
+            Err(WireError::BadVersion(7))
+        );
         let mut oversize = Vec::from(MAGIC);
         oversize.push(VERSION);
         oversize.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
-        assert!(matches!(scan_frame(&oversize), Err(WireError::Oversize(_))));
+        assert!(matches!(
+            ZFLT.scan(&oversize, MAX_FRAME_PAYLOAD),
+            Err(WireError::Oversize(_))
+        ));
     }
 
     #[test]
     fn decoder_rejects_structural_damage() {
-        assert_eq!(decode_frame(&[]), Err(WireError::Truncated));
-        let frame = encode_frame(b"x");
+        assert_eq!(ZFLT.decode(&[]), Err(WireError::Truncated));
+        let frame = ZFLT.encode(b"x");
         assert_eq!(
-            decode_frame(&frame[..frame.len() - 1]),
+            ZFLT.decode(&frame[..frame.len() - 1]),
             Err(WireError::LengthMismatch {
                 declared: 1,
                 actual: 0
@@ -1299,22 +1315,22 @@ mod tests {
         );
         let mut extra = frame.clone();
         extra.push(0);
-        assert!(decode_frame(&extra).is_err());
+        assert!(ZFLT.decode(&extra).is_err());
         // Unknown opcode payloads decode as frames but not as messages.
-        let odd = encode_frame(&[0xEE]);
-        let payload = decode_frame(&odd).unwrap();
+        let odd = ZFLT.encode(&[0xEE]);
+        let payload = ZFLT.decode(&odd).unwrap();
         assert_eq!(
             Request::decode(payload),
             Err(WireError::UnknownOpcode(0xEE))
         );
         // Trailing bytes inside the payload are caught by finish().
-        let padded = encode_frame(&{
+        let padded = ZFLT.encode(&{
             let mut p = Request::Shutdown.encode();
             p.push(0);
             p
         });
         assert_eq!(
-            Request::decode(decode_frame(&padded).unwrap()),
+            Request::decode(ZFLT.decode(&padded).unwrap()),
             Err(WireError::TrailingBytes)
         );
     }
@@ -1331,12 +1347,12 @@ mod tests {
         assert!(matches!(fb.next_frame(), Err(WireError::Oversize(n)) if n == 12 << 20));
         // An in-bound frame on a fresh buffer with the same ceiling works.
         let mut fb = FrameBuffer::with_max_payload(4096);
-        fb.extend_from_slice(&encode_frame(&[7u8; 4096]));
+        fb.extend_from_slice(&ZFLT.encode(&[7u8; 4096]));
         assert_eq!(fb.next_frame().unwrap().unwrap(), &[7u8; 4096][..]);
         // One past the ceiling is rejected even though the protocol-wide
         // MAX_FRAME_PAYLOAD would accept it.
         let mut fb = FrameBuffer::with_max_payload(4096);
-        fb.extend_from_slice(&encode_frame(&[7u8; 4097]));
+        fb.extend_from_slice(&ZFLT.encode(&[7u8; 4097]));
         assert!(matches!(fb.next_frame(), Err(WireError::Oversize(4097))));
     }
 
@@ -1345,7 +1361,7 @@ mod tests {
         // A peer that streams unbounded garbage after a valid header must
         // not grow the buffer past max_payload + FRAME_OVERHEAD.
         let mut fb = FrameBuffer::with_max_payload(1024);
-        let mut flood = encode_frame(&[1u8; 1024]);
+        let mut flood = ZFLT.encode(&[1u8; 1024]);
         flood.extend_from_slice(&vec![0xAA; 1 << 20]);
         let mut cursor = &flood[..];
         let mut drained = Vec::new();

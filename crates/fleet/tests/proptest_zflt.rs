@@ -6,7 +6,7 @@
 //! every possible read boundary).
 #![cfg(feature = "proptest-tests")]
 
-use zarf_fleet::wire::{decode_frame, encode_frame, FrameBuffer};
+use zarf_fleet::wire::{FrameBuffer, ZFLT};
 use zarf_fleet::{Op, PortFeed, Request, Response, SessionConfig};
 use zarf_testkit::prelude::*;
 
@@ -97,8 +97,8 @@ proptest! {
     #[test]
     fn requests_round_trip_through_frames(req in arb_request()) {
         let payload = req.encode();
-        let frame = encode_frame(&payload);
-        let back = decode_frame(&frame).unwrap();
+        let frame = ZFLT.encode(&payload);
+        let back = ZFLT.decode(&frame).unwrap();
         prop_assert_eq!(back, &payload[..]);
         prop_assert_eq!(Request::decode(back).unwrap(), req);
     }
@@ -107,8 +107,8 @@ proptest! {
     #[test]
     fn responses_round_trip_through_frames(resp in arb_response()) {
         let payload = resp.encode();
-        let frame = encode_frame(&payload);
-        let back = decode_frame(&frame).unwrap();
+        let frame = ZFLT.encode(&payload);
+        let back = ZFLT.decode(&frame).unwrap();
         prop_assert_eq!(Response::decode(back).unwrap(), resp);
     }
 
@@ -122,11 +122,11 @@ proptest! {
         byte in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let frame = encode_frame(&req.encode());
+        let frame = ZFLT.encode(&req.encode());
         let idx = (byte as usize) % frame.len();
         let mut dam = frame;
         dam[idx] ^= 1 << bit;
-        let verdict = decode_frame(&dam).and_then(|p| Request::decode(p).map(|_| ()));
+        let verdict = ZFLT.decode(&dam).and_then(|p| Request::decode(p).map(|_| ()));
         prop_assert!(
             verdict.is_err(),
             "flip at byte {} bit {} went undetected",
@@ -142,11 +142,11 @@ proptest! {
         byte in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let frame = encode_frame(&resp.encode());
+        let frame = ZFLT.encode(&resp.encode());
         let idx = (byte as usize) % frame.len();
         let mut dam = frame;
         dam[idx] ^= 1 << bit;
-        let verdict = decode_frame(&dam).and_then(|p| Response::decode(p).map(|_| ()));
+        let verdict = ZFLT.decode(&dam).and_then(|p| Response::decode(p).map(|_| ()));
         prop_assert!(
             verdict.is_err(),
             "flip at byte {} bit {} went undetected",
@@ -158,9 +158,9 @@ proptest! {
     /// Truncating a frame at any interior point is rejected.
     #[test]
     fn truncated_frames_are_rejected(req in arb_request(), cut in any::<u64>()) {
-        let frame = encode_frame(&req.encode());
+        let frame = ZFLT.encode(&req.encode());
         let keep = (cut as usize) % frame.len();
-        prop_assert!(decode_frame(&frame[..keep]).is_err());
+        prop_assert!(ZFLT.decode(&frame[..keep]).is_err());
     }
 
     /// The incremental decoder yields the same payload sequence as the
@@ -173,10 +173,10 @@ proptest! {
         reqs in prop::collection::vec(arb_request(), 1..5),
         cuts in prop::collection::vec(1usize..64, 0..32),
     ) {
-        let frames: Vec<Vec<u8>> = reqs.iter().map(|r| encode_frame(&r.encode())).collect();
+        let frames: Vec<Vec<u8>> = reqs.iter().map(|r| ZFLT.encode(&r.encode())).collect();
         let expect: Vec<Vec<u8>> = frames
             .iter()
-            .map(|f| decode_frame(f).unwrap().to_vec())
+            .map(|f| ZFLT.decode(f).unwrap().to_vec())
             .collect();
         let stream: Vec<u8> = frames.concat();
         let mut fb = FrameBuffer::new();
@@ -202,12 +202,12 @@ proptest! {
     fn coalesced_multi_frame_reads_drain_fully(
         reqs in prop::collection::vec(arb_request(), 1..6),
     ) {
-        let frames: Vec<Vec<u8>> = reqs.iter().map(|r| encode_frame(&r.encode())).collect();
+        let frames: Vec<Vec<u8>> = reqs.iter().map(|r| ZFLT.encode(&r.encode())).collect();
         let mut fb = FrameBuffer::new();
         fb.extend_from_slice(&frames.concat());
         for (i, frame) in frames.iter().enumerate() {
             let payload = fb.next_frame().unwrap();
-            prop_assert_eq!(payload, Some(decode_frame(frame).unwrap()), "frame {}", i);
+            prop_assert_eq!(payload, Some(ZFLT.decode(frame).unwrap()), "frame {}", i);
         }
         prop_assert!(matches!(fb.next_frame(), Ok(None)));
         prop_assert!(fb.is_empty());
@@ -222,12 +222,12 @@ proptest! {
         req in arb_request(),
         cut in any::<u64>(),
     ) {
-        let frame = encode_frame(&req.encode());
+        let frame = ZFLT.encode(&req.encode());
         let keep = (cut as usize) % frame.len();
         let mut fb = FrameBuffer::new();
         fb.extend_from_slice(&frame[..keep]);
         prop_assert!(matches!(fb.next_frame(), Ok(None)));
-        prop_assert!(decode_frame(&frame[..keep]).is_err());
+        prop_assert!(ZFLT.decode(&frame[..keep]).is_err());
     }
 
     /// A single bit flip anywhere in a frame never produces a payload
@@ -241,10 +241,10 @@ proptest! {
         bit in 0u8..8,
         cuts in prop::collection::vec(1usize..32, 0..16),
     ) {
-        let mut frame = encode_frame(&req.encode());
+        let mut frame = ZFLT.encode(&req.encode());
         let idx = (byte as usize) % frame.len();
         frame[idx] ^= 1 << bit;
-        prop_assert!(decode_frame(&frame).is_err());
+        prop_assert!(ZFLT.decode(&frame).is_err());
         let mut fb = FrameBuffer::new();
         let mut pos = 0;
         let mut cuts = cuts.into_iter();

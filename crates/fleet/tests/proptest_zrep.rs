@@ -7,9 +7,7 @@
 //! `ZFLT`'s.
 #![cfg(feature = "proptest-tests")]
 
-use zarf_fleet::repl::{
-    decode_record, decode_repl_frame, encode_record, encode_repl_frame, ReplMsg,
-};
+use zarf_fleet::repl::{ReplMsg, ZREP};
 use zarf_store::{ChunkId, SessionRecord};
 use zarf_testkit::prelude::*;
 
@@ -79,8 +77,8 @@ proptest! {
     #[test]
     fn messages_round_trip_through_frames(msg in arb_msg()) {
         let payload = msg.encode();
-        let frame = encode_repl_frame(&payload);
-        let back = decode_repl_frame(&frame).unwrap();
+        let frame = ZREP.encode(&payload);
+        let back = ZREP.decode(&frame).unwrap();
         prop_assert_eq!(back, &payload[..]);
         prop_assert_eq!(ReplMsg::decode(back).unwrap(), msg);
     }
@@ -89,20 +87,22 @@ proptest! {
     /// what the destination adopts is exactly what the source committed.
     #[test]
     fn records_round_trip(rec in arb_record()) {
-        let bytes = encode_record(&rec);
-        prop_assert_eq!(decode_record(&bytes).unwrap(), rec);
+        let mut bytes = Vec::new();
+        rec.encode_into(&mut bytes);
+        prop_assert_eq!(SessionRecord::decode(&bytes).unwrap(), rec);
     }
 
     /// A record never decodes with trailing bytes (exact consume), and
     /// never from a strict prefix.
     #[test]
     fn records_demand_exact_length(rec in arb_record(), junk in 1usize..8, cut in any::<u64>()) {
-        let bytes = encode_record(&rec);
+        let mut bytes = Vec::new();
+        rec.encode_into(&mut bytes);
         let mut padded = bytes.clone();
         padded.extend(std::iter::repeat_n(0, junk));
-        prop_assert!(decode_record(&padded).is_err());
+        prop_assert!(SessionRecord::decode(&padded).is_err());
         let keep = (cut as usize) % bytes.len();
-        prop_assert!(decode_record(&bytes[..keep]).is_err());
+        prop_assert!(SessionRecord::decode(&bytes[..keep]).is_err());
     }
 
     /// Flipping any single bit anywhere in a framed message — header,
@@ -115,11 +115,11 @@ proptest! {
         byte in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let frame = encode_repl_frame(&msg.encode());
+        let frame = ZREP.encode(&msg.encode());
         let idx = (byte as usize) % frame.len();
         let mut dam = frame;
         dam[idx] ^= 1 << bit;
-        let verdict = decode_repl_frame(&dam).and_then(|p| ReplMsg::decode(p).map(|_| ()));
+        let verdict = ZREP.decode(&dam).and_then(|p| ReplMsg::decode(p).map(|_| ()));
         prop_assert!(
             verdict.is_err(),
             "flip at byte {} bit {} went undetected",
@@ -131,9 +131,9 @@ proptest! {
     /// Truncating a frame at any interior point is rejected.
     #[test]
     fn truncated_frames_are_rejected(msg in arb_msg(), cut in any::<u64>()) {
-        let frame = encode_repl_frame(&msg.encode());
+        let frame = ZREP.encode(&msg.encode());
         let keep = (cut as usize) % frame.len();
-        prop_assert!(decode_repl_frame(&frame[..keep]).is_err());
+        prop_assert!(ZREP.decode(&frame[..keep]).is_err());
     }
 
     /// A message payload never decodes with trailing bytes appended —

@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use zarf_core::{crc32, Word};
+use zarf_core::{crc32, ByteError, ByteReader, Word};
 
 use crate::audit::{audit_objects, AuditError};
 use crate::heap::Heap;
@@ -134,6 +134,16 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<ByteError> for SnapshotError {
+    fn from(e: ByteError) -> Self {
+        match e {
+            ByteError::Truncated => SnapshotError::Truncated,
+            ByteError::Trailing => SnapshotError::Malformed("trailing bytes"),
+            ByteError::Invalid(what) => SnapshotError::Malformed(what),
+        }
+    }
+}
+
 impl From<AuditError> for SnapshotError {
     fn from(e: AuditError) -> Self {
         SnapshotError::Audit(e)
@@ -187,8 +197,8 @@ impl Default for SectionWriter {
 /// section. Duplicate tags are rejected; unknown tags are the *caller's*
 /// concern (the kernel stores its sections next to the machine's).
 pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    if r.bytes(4)? != SNAPSHOT_MAGIC {
+    let mut r = ByteReader::new(bytes);
+    if r.take(4)? != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
@@ -200,7 +210,7 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
     for _ in 0..count {
         let tag = r.u32()?;
         let len = r.u32()? as usize;
-        let payload = r.bytes(len)?;
+        let payload = r.take(len)?;
         let crc = r.u32()?;
         if crc32(payload) != crc {
             return Err(SnapshotError::CrcMismatch { section: tag });
@@ -210,9 +220,7 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, SnapshotError> {
         }
         sections.push((tag, payload));
     }
-    if !r.done() {
-        return Err(SnapshotError::Malformed("trailing bytes"));
-    }
+    r.finish()?;
     Ok(sections)
 }
 
@@ -224,51 +232,8 @@ pub fn verify_container(bytes: &[u8]) -> Result<(), SnapshotError> {
     read_sections(bytes).map(|_| ())
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn i32(&mut self) -> Result<i32, SnapshotError> {
-        Ok(self.u32()? as i32)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
+/// Encoded width of one [`HValue`]: a tag byte and a 32-bit word.
+const HVALUE_BYTES: usize = 5;
 
 fn put_hvalue(buf: &mut Vec<u8>, v: HValue) -> Result<(), SnapshotError> {
     match v {
@@ -285,7 +250,7 @@ fn put_hvalue(buf: &mut Vec<u8>, v: HValue) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-fn get_hvalue(r: &mut Reader<'_>) -> Result<HValue, SnapshotError> {
+fn get_hvalue(r: &mut ByteReader<'_>) -> Result<HValue, SnapshotError> {
     match r.u8()? {
         0 => Ok(HValue::Int(r.i32()?)),
         1 => Ok(HValue::Ref(r.u32()? as HeapRef)),
@@ -334,14 +299,9 @@ fn put_obj(buf: &mut Vec<u8>, obj: &HeapObj) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-fn get_obj(r: &mut Reader<'_>) -> Result<HeapObj, SnapshotError> {
-    let get_list = |r: &mut Reader<'_>| -> Result<Vec<HValue>, SnapshotError> {
-        let n = r.u32()? as usize;
-        // A list cannot be longer than the bytes that remain (each entry
-        // is ≥ 5 bytes); reject absurd counts before reserving.
-        if n > r.buf.len().saturating_sub(r.pos) {
-            return Err(SnapshotError::Truncated);
-        }
+fn get_obj(r: &mut ByteReader<'_>) -> Result<HeapObj, SnapshotError> {
+    let get_list = |r: &mut ByteReader<'_>| -> Result<Vec<HValue>, SnapshotError> {
+        let n = r.count(HVALUE_BYTES)?;
         let mut vs = Vec::with_capacity(n);
         for _ in 0..n {
             vs.push(get_hvalue(r)?);
@@ -594,87 +554,65 @@ impl MachineSnapshot {
         for &(tag, payload) in sections {
             match tag {
                 TAG_CODE => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() / 4 {
-                        return Err(SnapshotError::Truncated);
-                    }
+                    let mut r = ByteReader::new(payload);
+                    let n = r.count(4)?;
                     let mut words = Vec::with_capacity(n);
                     for _ in 0..n {
                         words.push(r.u32()?);
                     }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("code section length"));
-                    }
+                    r.finish()?;
                     code = Some(words);
                 }
                 TAG_NAMES => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(SnapshotError::Truncated);
-                    }
+                    let mut r = ByteReader::new(payload);
+                    // Each row is at least an id and a length.
+                    let n = r.count(8)?;
                     let mut rows = Vec::with_capacity(n);
                     for _ in 0..n {
                         let id = r.u32()?;
                         let len = r.u32()? as usize;
-                        let name = std::str::from_utf8(r.bytes(len)?)
+                        let name = std::str::from_utf8(r.take(len)?)
                             .map_err(|_| SnapshotError::Malformed("name encoding"))?;
                         rows.push((id, name.to_string()));
                     }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("names section length"));
-                    }
+                    r.finish()?;
                     names = Some(rows);
                 }
                 TAG_HEAP => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(SnapshotError::Truncated);
-                    }
+                    let mut r = ByteReader::new(payload);
+                    // The smallest object is a lone tag byte.
+                    let n = r.count(1)?;
                     let mut objs = Vec::with_capacity(n);
                     for _ in 0..n {
                         objs.push(get_obj(&mut r)?);
                     }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("heap section length"));
-                    }
+                    r.finish()?;
                     objects = Some(objs);
                 }
                 TAG_ROOTS => {
-                    let mut r = Reader::new(payload);
-                    let n = r.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(SnapshotError::Truncated);
-                    }
+                    let mut r = ByteReader::new(payload);
+                    let n = r.count(HVALUE_BYTES)?;
                     let mut vs = Vec::with_capacity(n);
                     for _ in 0..n {
                         vs.push(get_hvalue(&mut r)?);
                     }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("roots section length"));
-                    }
+                    r.finish()?;
                     roots = Some(vs);
                 }
                 TAG_STATS => {
-                    let mut r = Reader::new(payload);
+                    let mut r = ByteReader::new(payload);
                     let mut words = [0u64; STATS_WORDS];
                     for w in words.iter_mut() {
                         *w = r.u64()?;
                     }
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("stats section length"));
-                    }
+                    r.finish()?;
                     stats = Some(stats_from_words(&words));
                 }
                 TAG_CONTROL => {
-                    let mut r = Reader::new(payload);
+                    let mut r = ByteReader::new(payload);
                     let capacity = r.u64()? as usize;
                     let class = class_from(r.u8()?)?;
-                    if !r.done() {
-                        return Err(SnapshotError::Malformed("control section length"));
-                    }
+                    r.finish()?;
                     control = Some((capacity, class));
                 }
                 t if t >= FIRST_EMBEDDER_TAG => {}

@@ -123,6 +123,7 @@ mod tests {
     use crate::program::{PORT_CHANNEL, PORT_CHANNEL_STATUS, PORT_ECG, PORT_PACE, PORT_TIMER};
     use zarf_core::io::VecPorts;
     use zarf_hw::{Hw, HwConfig};
+    use zarf_testkit::fnv1a;
 
     #[test]
     fn session_program_parses_and_resolves_entry_points() {
@@ -176,14 +177,6 @@ mod tests {
         }
         assert_eq!(ports.output(PORT_PACE), &reference[..]);
         assert_eq!(ports.output(PORT_CHANNEL), &reference_chan[..]);
-    }
-
-    /// FNV-1a (64-bit): a hash independent of the CRC-32 inside the
-    /// snapshot format, so the pin below does not lean on what it checks.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
-        })
     }
 
     /// Boot a session, then run `steps` scheduler iterations, each

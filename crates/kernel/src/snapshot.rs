@@ -18,7 +18,7 @@
 //! after the supervised loop completes, so mid-loop its state is the
 //! initial one).
 
-use zarf_core::Int;
+use zarf_core::{ByteReader, Int};
 use zarf_hw::{read_sections, MachineSnapshot, SectionWriter, SnapshotError, FIRST_EMBEDDER_TAG};
 
 use crate::devices::HeartState;
@@ -53,82 +53,13 @@ pub struct SystemCheckpoint {
     pub chan_overflows: u64,
 }
 
-/// Bounds-checked little-endian reader over one section payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+fn get_int_list(r: &mut ByteReader<'_>) -> Result<Vec<Int>, SnapshotError> {
+    let n = r.count(4)?;
+    let mut v = Vec::with_capacity(n);
+    for _ in 0..n {
+        v.push(r.i32()?);
     }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b: [u8; 4] = self
-            .bytes(4)?
-            .try_into()
-            .map_err(|_| SnapshotError::Truncated)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn i32(&mut self) -> Result<i32, SnapshotError> {
-        let b: [u8; 4] = self
-            .bytes(4)?
-            .try_into()
-            .map_err(|_| SnapshotError::Truncated)?;
-        Ok(i32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b: [u8; 8] = self
-            .bytes(8)?
-            .try_into()
-            .map_err(|_| SnapshotError::Truncated)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// A count of `width`-byte records, rejected when it cannot fit in
-    /// the remaining payload (a flipped length bit must not allocate).
-    fn count(&mut self, width: usize) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        let need = n.checked_mul(width).ok_or(SnapshotError::Truncated)?;
-        if need > self.buf.len().saturating_sub(self.pos) {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn int_list(&mut self) -> Result<Vec<Int>, SnapshotError> {
-        let n = self.count(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.i32()?);
-        }
-        Ok(v)
-    }
-
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed("trailing bytes in section"))
-        }
-    }
+    Ok(v)
 }
 
 fn put_int_list(buf: &mut Vec<u8>, xs: &[Int]) {
@@ -199,30 +130,26 @@ impl SystemCheckpoint {
             }
         }
 
-        let mut r = Reader::new(lp.ok_or(SnapshotError::MissingSection(TAG_LOOP))?);
+        let mut r = ByteReader::new(lp.ok_or(SnapshotError::MissingSection(TAG_LOOP))?);
         let iteration = r.u64()?;
         let prev = r.i32()?;
         let acc = r.i32()?;
-        let diag_enabled = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("diag flag")),
-        };
-        r.done()?;
+        let diag_enabled = r.flag("diag flag")?;
+        r.finish()?;
 
-        let mut r = Reader::new(ht.ok_or(SnapshotError::MissingSection(TAG_HEART))?);
+        let mut r = ByteReader::new(ht.ok_or(SnapshotError::MissingSection(TAG_HEART))?);
         let tick = r.i32()?;
-        let boot = match r.u8()? {
-            0 => None,
-            1 => Some(r.i32()?),
-            _ => return Err(SnapshotError::Malformed("boot flag")),
+        let boot = if r.flag("boot flag")? {
+            Some(r.i32()?)
+        } else {
+            None
         };
         let last_served = r.i32()?;
         let pace_len = r.u64()? as usize;
         let debug_len = r.u64()? as usize;
         let served_len = r.u64()? as usize;
-        let ecg = r.int_list()?;
-        r.done()?;
+        let ecg = get_int_list(&mut r)?;
+        r.finish()?;
         let heart = HeartState {
             ecg,
             tick,
@@ -233,11 +160,11 @@ impl SystemCheckpoint {
             served_len,
         };
 
-        let mut r = Reader::new(ch.ok_or(SnapshotError::MissingSection(TAG_CHANNEL))?);
+        let mut r = ByteReader::new(ch.ok_or(SnapshotError::MissingSection(TAG_CHANNEL))?);
         let chan_overflows = r.u64()?;
-        let chan_a_to_b = r.int_list()?;
-        let chan_b_to_a = r.int_list()?;
-        r.done()?;
+        let chan_a_to_b = get_int_list(&mut r)?;
+        let chan_b_to_a = get_int_list(&mut r)?;
+        r.finish()?;
 
         Ok(SystemCheckpoint {
             machine,

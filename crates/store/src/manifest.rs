@@ -24,13 +24,13 @@
 //! store.jrnl record: "ZJRN" | body len u32 | body | crc32(body)
 //!   body: type u8 (1=commit, 2=close) | ...
 //! session record: id u64 | commit_seq u64 | ops_done u64 |
-//!   heap_words u64 | op_budget u64 | fuel_slice u64 | verified u8 |
+//!   heap_words u64 | op_budget u64 | fuel_slice u64 | verified u8 (0|1) |
 //!   snap_len u64 | snap_hash [16] | chunk count u32 | chunk ids [16]...
 //! ```
 
 use std::collections::BTreeMap;
 
-use zarf_core::crc32;
+use zarf_core::{crc32, ByteError, ByteReader};
 
 use crate::hash::ChunkId;
 use crate::StoreError;
@@ -98,85 +98,43 @@ pub enum JournalRecord {
     Close { id: u64 },
 }
 
-fn put_session(out: &mut Vec<u8>, s: &SessionRecord) {
-    out.extend_from_slice(&s.id.to_le_bytes());
-    out.extend_from_slice(&s.commit_seq.to_le_bytes());
-    out.extend_from_slice(&s.ops_done.to_le_bytes());
-    out.extend_from_slice(&s.heap_words.to_le_bytes());
-    out.extend_from_slice(&s.op_budget.to_le_bytes());
-    out.extend_from_slice(&s.fuel_slice.to_le_bytes());
-    out.push(s.verified as u8);
-    out.extend_from_slice(&s.snap_len.to_le_bytes());
-    out.extend_from_slice(&s.snap_hash.0);
-    out.extend_from_slice(&(s.chunks.len() as u32).to_le_bytes());
-    for c in &s.chunks {
-        out.extend_from_slice(&c.0);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| StoreError::ManifestCorrupt {
-                detail: "truncated record body".to_string(),
-            })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn chunk_id(&mut self) -> Result<ChunkId, StoreError> {
-        let b = self.bytes(16)?;
-        let mut id = [0u8; 16];
-        id.copy_from_slice(b);
-        Ok(ChunkId(id))
-    }
-
-    fn session(&mut self) -> Result<SessionRecord, StoreError> {
-        let id = self.u64()?;
-        let commit_seq = self.u64()?;
-        let ops_done = self.u64()?;
-        let heap_words = self.u64()?;
-        let op_budget = self.u64()?;
-        let fuel_slice = self.u64()?;
-        let verified = self.u8()? != 0;
-        let snap_len = self.u64()?;
-        let snap_hash = self.chunk_id()?;
-        let count = self.u32()?;
-        // A chunk id is 16 bytes, so `count` can never describe more
-        // bytes than remain — reject before allocating.
-        if count as usize > (self.buf.len() - self.pos) / 16 {
-            return Err(StoreError::ManifestCorrupt {
-                detail: format!("implausible chunk count {count}"),
-            });
+impl SessionRecord {
+    /// Append the record's durable encoding (the `session record` row of
+    /// the layout above). This is the one codec for session records: the
+    /// manifest, the journal and the `ZREP` replication link all use it.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.to_le_bytes());
+        out.extend_from_slice(&self.commit_seq.to_le_bytes());
+        out.extend_from_slice(&self.ops_done.to_le_bytes());
+        out.extend_from_slice(&self.heap_words.to_le_bytes());
+        out.extend_from_slice(&self.op_budget.to_le_bytes());
+        out.extend_from_slice(&self.fuel_slice.to_le_bytes());
+        out.push(self.verified as u8);
+        out.extend_from_slice(&self.snap_len.to_le_bytes());
+        out.extend_from_slice(&self.snap_hash.0);
+        out.extend_from_slice(&(self.chunks.len() as u32).to_le_bytes());
+        for c in &self.chunks {
+            out.extend_from_slice(&c.0);
         }
-        let mut chunks = Vec::with_capacity(count as usize);
+    }
+
+    /// Decode one record written by [`SessionRecord::encode_into`]. The
+    /// `verified` byte must be 0 or 1, and a chunk count the remaining
+    /// bytes cannot hold is refused before allocating.
+    pub fn read(r: &mut ByteReader<'_>) -> Result<SessionRecord, ByteError> {
+        let id = r.u64()?;
+        let commit_seq = r.u64()?;
+        let ops_done = r.u64()?;
+        let heap_words = r.u64()?;
+        let op_budget = r.u64()?;
+        let fuel_slice = r.u64()?;
+        let verified = r.flag("verified flag")?;
+        let snap_len = r.u64()?;
+        let snap_hash = ChunkId(r.array()?);
+        let count = r.count(16)?;
+        let mut chunks = Vec::with_capacity(count);
         for _ in 0..count {
-            chunks.push(self.chunk_id()?);
+            chunks.push(ChunkId(r.array()?));
         }
         Ok(SessionRecord {
             id,
@@ -191,6 +149,29 @@ impl<'a> Reader<'a> {
             chunks,
         })
     }
+
+    /// [`SessionRecord::read`] over a buffer that must hold exactly one
+    /// record.
+    pub fn decode(buf: &[u8]) -> Result<SessionRecord, ByteError> {
+        let mut r = ByteReader::new(buf);
+        let rec = SessionRecord::read(&mut r)?;
+        r.finish()?;
+        Ok(rec)
+    }
+}
+
+/// A record that fails to decode is a corrupt manifest or journal.
+impl From<ByteError> for StoreError {
+    fn from(e: ByteError) -> Self {
+        let detail = match e {
+            ByteError::Truncated => "truncated record body",
+            ByteError::Trailing => "trailing bytes in body",
+            ByteError::Invalid(what) => what,
+        };
+        StoreError::ManifestCorrupt {
+            detail: detail.to_string(),
+        }
+    }
 }
 
 /// Serialise the whole manifest to the `store.zman` checkpoint format.
@@ -199,7 +180,7 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     body.extend_from_slice(&m.max_id.to_le_bytes());
     body.extend_from_slice(&(m.sessions.len() as u32).to_le_bytes());
     for s in m.sessions.values() {
-        put_session(&mut body, s);
+        s.encode_into(&mut body);
     }
     let mut out = Vec::with_capacity(body.len() + 16);
     out.extend_from_slice(&MANIFEST_MAGIC);
@@ -217,34 +198,28 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
     let corrupt = |detail: &str| StoreError::ManifestCorrupt {
         detail: detail.to_string(),
     };
-    if bytes.len() < 12 {
+    let mut r = ByteReader::new(bytes);
+    let (Ok(magic), Ok(version), Ok(body_len)) = (r.array::<4>(), r.u32(), r.u32()) else {
         return Err(corrupt("truncated header"));
-    }
-    if bytes[..4] != MANIFEST_MAGIC {
+    };
+    if magic != MANIFEST_MAGIC {
         return Err(corrupt("bad magic"));
     }
-    if u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != MANIFEST_VERSION {
+    if version != MANIFEST_VERSION {
         return Err(corrupt("unsupported version"));
     }
-    let body_len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
     if body_len > MAX_BODY {
         return Err(corrupt("implausible body length"));
     }
-    let body_end = 12 + body_len as usize;
-    let body = bytes
-        .get(12..body_end)
-        .ok_or_else(|| corrupt("truncated body"))?;
-    let crc_bytes = bytes
-        .get(body_end..body_end + 4)
-        .ok_or_else(|| corrupt("truncated checksum"))?;
-    if bytes.len() != body_end + 4 {
-        return Err(corrupt("trailing bytes"));
-    }
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
+    let body = r
+        .take(body_len as usize)
+        .map_err(|_| corrupt("truncated body"))?;
+    let crc = r.u32().map_err(|_| corrupt("truncated checksum"))?;
+    r.finish().map_err(|_| corrupt("trailing bytes"))?;
     if crc32(body) != crc {
         return Err(corrupt("body CRC mismatch"));
     }
-    let mut r = Reader { buf: body, pos: 0 };
+    let mut r = ByteReader::new(body);
     let max_id = r.u64()?;
     let count = r.u32()?;
     let mut m = Manifest {
@@ -252,14 +227,12 @@ pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
         sessions: BTreeMap::new(),
     };
     for _ in 0..count {
-        let s = r.session()?;
+        let s = SessionRecord::read(&mut r)?;
         if m.sessions.insert(s.id, s).is_some() {
             return Err(corrupt("duplicate session id"));
         }
     }
-    if r.pos != body.len() {
-        return Err(corrupt("trailing bytes in body"));
-    }
+    r.finish()?;
     Ok(m)
 }
 
@@ -269,7 +242,7 @@ pub fn encode_journal_record(rec: &JournalRecord) -> Vec<u8> {
     match rec {
         JournalRecord::Commit(s) => {
             body.push(1);
-            put_session(&mut body, s);
+            s.encode_into(&mut body);
         }
         JournalRecord::Close { id } => {
             body.push(2);
@@ -282,6 +255,23 @@ pub fn encode_journal_record(rec: &JournalRecord) -> Vec<u8> {
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
     out
+}
+
+/// Decode one journal record body (the bytes between its length and
+/// its CRC); the whole body must be consumed.
+fn decode_journal_body(body: &[u8]) -> Result<JournalRecord, StoreError> {
+    let mut r = ByteReader::new(body);
+    let rec = match r.u8()? {
+        1 => JournalRecord::Commit(SessionRecord::read(&mut r)?),
+        2 => JournalRecord::Close { id: r.u64()? },
+        _ => {
+            return Err(StoreError::ManifestCorrupt {
+                detail: "unknown journal record type".to_string(),
+            })
+        }
+    };
+    r.finish()?;
+    Ok(rec)
 }
 
 /// Result of walking the commit journal.
@@ -302,61 +292,37 @@ pub struct JournalScan {
 /// fully verified.
 pub fn scan_journal(bytes: &[u8]) -> JournalScan {
     let mut scan = JournalScan::default();
-    let mut at = 0usize;
-    while at < bytes.len() {
-        let header = match bytes.get(at..at + 8) {
-            Some(h) => h,
-            None => {
-                scan.torn = true;
-                return scan;
-            }
+    let mut r = ByteReader::new(bytes);
+    while r.remaining() > 0 {
+        let at = bytes.len() - r.remaining();
+        let (Ok(magic), Ok(body_len)) = (r.array::<4>(), r.u32()) else {
+            scan.torn = true;
+            return scan;
         };
-        if header[..4] != JOURNAL_MAGIC {
+        if magic != JOURNAL_MAGIC {
             scan.damage = Some((at as u64, "bad journal record magic".to_string()));
             return scan;
         }
-        let body_len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
         if body_len > MAX_BODY {
             scan.damage = Some((at as u64, "implausible journal body length".to_string()));
             return scan;
         }
-        let body_end = at + 8 + body_len as usize;
-        let body = match bytes.get(at + 8..body_end) {
-            Some(b) => b,
-            None => {
-                scan.torn = true;
-                return scan;
-            }
+        let (Ok(body), Ok(crc)) = (r.take(body_len as usize), r.u32()) else {
+            scan.torn = true;
+            return scan;
         };
-        let crc_bytes = match bytes.get(body_end..body_end + 4) {
-            Some(c) => c,
-            None => {
-                scan.torn = true;
-                return scan;
-            }
-        };
-        let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
         if crc32(body) != crc {
             scan.damage = Some((at as u64, "journal record CRC mismatch".to_string()));
             return scan;
         }
-        let mut r = Reader { buf: body, pos: 0 };
-        let rec = match r.u8() {
-            Ok(1) => r.session().map(JournalRecord::Commit),
-            Ok(2) => r.u64().map(|id| JournalRecord::Close { id }),
-            _ => Err(StoreError::ManifestCorrupt {
-                detail: "unknown journal record type".to_string(),
-            }),
-        };
-        match rec {
-            Ok(rec) if r.pos == body.len() => scan.records.push(rec),
-            _ => {
+        match decode_journal_body(body) {
+            Ok(rec) => scan.records.push(rec),
+            Err(_) => {
                 scan.damage = Some((at as u64, "malformed journal record body".to_string()));
                 return scan;
             }
         }
-        at = body_end + 4;
-        scan.valid_len = at as u64;
+        scan.valid_len = (bytes.len() - r.remaining()) as u64;
     }
     scan
 }
@@ -365,6 +331,7 @@ pub fn scan_journal(bytes: &[u8]) -> JournalScan {
 mod tests {
     use super::*;
     use crate::hash::content_hash;
+    use zarf_testkit::fnv1a;
 
     fn record(id: u64, seq: u64) -> SessionRecord {
         let payload = vec![id as u8; 64];
@@ -388,6 +355,73 @@ mod tests {
             m.apply(&JournalRecord::Commit(record(id, 1)));
         }
         m
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // Recorded before the record codec was shared with `ZREP`: the
+        // durable layout must not move by a byte.
+        let pinned = [
+            (
+                encode_manifest(&manifest_with(&[1, 2, 9])),
+                (355, 0xC5C0_C7D2_CE52_0CF9),
+            ),
+            (
+                encode_journal_record(&JournalRecord::Commit(record(1, 2))),
+                (122, 0x0C78_7170_46BB_1061),
+            ),
+            (
+                encode_journal_record(&JournalRecord::Close { id: 2 }),
+                (21, 0xABF3_A27A_AF7C_76BC),
+            ),
+        ];
+        for (bytes, want) in pinned {
+            assert_eq!((bytes.len(), fnv1a(&bytes)), want);
+        }
+    }
+
+    /// Overwrite the `verified` byte of the first session record and
+    /// re-seal the CRC over `body`, so only the record codec can object.
+    fn with_verified_byte(mut bytes: Vec<u8>, at: usize, body_start: usize, v: u8) -> Vec<u8> {
+        bytes[at] = v;
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[body_start..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn verified_byte_must_be_zero_or_one() {
+        // `verified` sits after six u64 fields of the record.
+        const VERIFIED: usize = 48;
+        let manifest = encode_manifest(&manifest_with(&[1]));
+        let at = 12 + 8 + 4 + VERIFIED; // header, max_id, count
+        let journal = encode_journal_record(&JournalRecord::Commit(record(1, 1)));
+        let jat = 8 + 1 + VERIFIED; // header, record type
+        let corrupt = |r: Result<_, StoreError>| match r {
+            Err(StoreError::ManifestCorrupt { detail }) => detail == "verified flag",
+            _ => false,
+        };
+        // The offsets are right: 1 flips the record to verified.
+        let m = decode_manifest(&with_verified_byte(manifest.clone(), at, 12, 1)).unwrap();
+        assert!(m.sessions[&1].verified);
+        let j = with_verified_byte(journal.clone(), jat, 8, 1);
+        match decode_journal_body(&j[8..j.len() - 4]) {
+            Ok(JournalRecord::Commit(s)) => assert!(s.verified),
+            other => panic!("{other:?}"),
+        }
+        for v in [2u8, 0x80, 0xFF] {
+            let m = with_verified_byte(manifest.clone(), at, 12, v);
+            assert!(
+                corrupt(decode_manifest(&m).map(|_| ())),
+                "manifest byte {v}"
+            );
+            let j = with_verified_byte(journal.clone(), jat, 8, v);
+            assert!(corrupt(decode_journal_body(&j[8..j.len() - 4]).map(|_| ())));
+            let scan = scan_journal(&j);
+            assert!(scan.records.is_empty(), "journal byte {v}");
+            assert_eq!(scan.damage.map(|d| d.0), Some(0));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! fail magic/CRC checks with more data after them — reported, and the
 //! scan stops so nothing unverified is ever indexed).
 
-use zarf_core::Crc32;
+use zarf_core::{ByteReader, Crc32};
 
 use crate::hash::{content_hash, ChunkId};
 
@@ -94,33 +94,25 @@ pub fn read_record(
     segment: u32,
     offset: u64,
 ) -> Result<Option<RecordHit<'_>>, String> {
-    let at = offset as usize;
-    let header = match bytes.get(at..at + 24) {
-        Some(h) => h,
-        None => return Ok(None),
+    let Some(rest) = bytes.get(offset as usize..) else {
+        return Ok(None);
     };
-    if header[..4] != CHUNK_MAGIC {
+    let mut r = ByteReader::new(rest);
+    let (Ok(magic), Ok(len), Ok(id)) = (r.array::<4>(), r.u32(), r.array()) else {
+        return Ok(None);
+    };
+    if magic != CHUNK_MAGIC {
         return Err(format!("bad record magic at offset {offset}"));
     }
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     if len > MAX_RECORD_PAYLOAD {
         return Err(format!(
             "implausible record length {len} at offset {offset}"
         ));
     }
-    let mut id = [0u8; 16];
-    id.copy_from_slice(&header[8..24]);
     let id = ChunkId(id);
-    let body_end = at + 24 + len as usize;
-    let payload = match bytes.get(at + 24..body_end) {
-        Some(p) => p,
-        None => return Ok(None),
+    let (Ok(payload), Ok(crc)) = (r.take(len as usize), r.u32()) else {
+        return Ok(None);
     };
-    let crc_bytes = match bytes.get(body_end..body_end + 4) {
-        Some(c) => c,
-        None => return Ok(None),
-    };
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
     if record_crc(id, payload) != crc {
         return Err(format!("record CRC mismatch at offset {offset}"));
     }

@@ -33,6 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use zarf_chaos::{FaultKind, FaultPlan, FaultSite, InjectedFault};
+use zarf_trace::json_str;
 
 use crate::chunk;
 use crate::hash::{content_hash, ChunkId};
@@ -1073,15 +1074,15 @@ impl FsckReport {
             .iter()
             .map(|(seg, off, why)| {
                 format!(
-                    "{{\"segment\":{seg},\"offset\":{off},\"reason\":\"{}\"}}",
-                    escape(why)
+                    "{{\"segment\":{seg},\"offset\":{off},\"reason\":{}}}",
+                    json_str(why)
                 )
             })
             .collect();
         let bad: Vec<String> = self
             .bad_sessions
             .iter()
-            .map(|(id, why)| format!("{{\"session\":{id},\"reason\":\"{}\"}}", escape(why)))
+            .map(|(id, why)| format!("{{\"session\":{id},\"reason\":{}}}", json_str(why)))
             .collect();
         format!(
             concat!(
@@ -1108,13 +1109,9 @@ impl FsckReport {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn json_opt(v: &Option<String>) -> String {
     match v {
-        Some(s) => format!("\"{}\"", escape(s)),
+        Some(s) => json_str(s),
         None => "null".to_string(),
     }
 }
@@ -1770,5 +1767,20 @@ mod tests {
             !dir.path().join("store.zman.tmp").exists(),
             "tmp cleaned up"
         );
+    }
+
+    #[test]
+    fn fsck_report_escapes_control_characters() {
+        let report = FsckReport {
+            damaged_segments: vec![(3, 64, "bad\nrecord".into())],
+            manifest_error: Some("tab\there \"quoted\"".into()),
+            bad_sessions: vec![(9, "bell\u{7}".into())],
+            ..FsckReport::default()
+        };
+        let json = report.to_json();
+        assert!(zarf_testkit::is_json(&json), "{json}");
+        assert!(json.contains(r#""reason":"bad\nrecord""#), "{json}");
+        assert!(json.contains(r#""manifest_error":"tab\there \"quoted\"""#));
+        assert!(json.contains(r#""reason":"bell\u0007""#), "{json}");
     }
 }

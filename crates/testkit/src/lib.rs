@@ -20,6 +20,8 @@
 //!   `benchmark_group`, `iter`/`iter_batched`, [`criterion_group!`] /
 //!   [`criterion_main!`]) that wall-clock-times each routine and prints
 //!   one line per benchmark.
+//! * [`json`] — a strict JSON syntax check, standing in for a JSON
+//!   parser in tests that pin hand-built JSON emitters.
 //! * [`replay`] — concrete witness replay: run a [`replay::WitnessSpec`]
 //!   (entry item + argument recipes + scripted port feed) on the big-step
 //!   reference interpreter and report every runtime fault the call
@@ -27,11 +29,22 @@
 //!   counterexample the symbolic executor emits is validated.
 
 pub mod crit;
+pub mod json;
 pub mod prop;
 pub mod replay;
 pub mod rng;
 
+pub use json::is_json;
 pub use replay::{replay_witness, ReplayOutcome, WArg, WitnessSpec};
+
+/// FNV-1a (64-bit). Golden-bytes tests pin encodings with it: a hash
+/// independent of the CRC-32 inside the formats they pin, so a pin does
+/// not lean on what it checks.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01B3)
+    })
+}
 
 /// Everything a property-test file needs: `use zarf_testkit::prelude::*;`.
 pub mod prelude {

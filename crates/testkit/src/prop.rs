@@ -303,12 +303,7 @@ pub fn cases() -> u64 {
 
 /// Stable seed for a property, derived from its name (FNV-1a).
 pub fn seed_of(name: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    crate::fnv1a(name.as_bytes())
 }
 
 /// Per-case seed perturbation.

@@ -38,7 +38,7 @@ pub mod ndjson;
 
 pub use folded::FoldedStacks;
 pub use metrics::{Histogram, MetricsSink};
-pub use ndjson::NdjsonSink;
+pub use ndjson::{json_str, push_json_str, NdjsonSink};
 
 /// Instruction class of the functional ISA (mirrors the simulator's
 /// accounting classes; branch heads are charged separately from the
@@ -283,17 +283,6 @@ pub enum Event {
         /// Scheduler iteration of the rejected capture.
         iteration: u64,
         /// Short error kind (`crc-mismatch`, `dangling-field`, …).
-        error: &'static str,
-    },
-    /// A fleet slice commit's write-through to the snapshot store
-    /// failed; the session degraded to resident-only backing (it will
-    /// not survive a process kill until a later commit lands).
-    StoreWriteFail {
-        /// Session whose commit could not be persisted.
-        session: u64,
-        /// The session's commit sequence number for the failed write.
-        commit_seq: u64,
-        /// Short store error kind (`io`, `stalled`, …).
         error: &'static str,
     },
 }

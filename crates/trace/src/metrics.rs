@@ -221,9 +221,6 @@ pub struct MetricsSink {
     pub rollbacks: u64,
     /// Checkpoints rejected by verification (CRC or audit).
     pub audit_failures: u64,
-    /// Fleet slice commits whose store write-through failed (the
-    /// session degraded to resident-only backing).
-    pub store_write_fails: u64,
     /// Currently active registered coroutines (innermost last).
     stack: Vec<u32>,
 }
@@ -298,7 +295,6 @@ impl MetricsSink {
         self.checkpoints_captured += other.checkpoints_captured;
         self.rollbacks += other.rollbacks;
         self.audit_failures += other.audit_failures;
-        self.store_write_fails += other.store_write_fails;
     }
 }
 
@@ -355,7 +351,6 @@ impl TraceSink for MetricsSink {
             Event::CheckpointCapture { .. } => self.checkpoints_captured += 1,
             Event::CheckpointRollback { .. } => self.rollbacks += 1,
             Event::AuditFail { .. } => self.audit_failures += 1,
-            Event::StoreWriteFail { .. } => self.store_write_fails += 1,
             Event::Bind { .. } | Event::Dispatch { .. } | Event::Yield { .. } => {}
         }
     }

@@ -9,7 +9,10 @@ use std::io::{self, Write};
 
 use crate::{Event, TraceSink};
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal: quoted, with `"`, `\\` and every
+/// control character escaped. The one JSON string escaper in the
+/// workspace; every hand-built JSON emitter goes through it.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -25,6 +28,13 @@ fn push_json_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// `s` as a JSON string literal; see [`push_json_str`].
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
+    out
 }
 
 /// Serialize one event as a single JSON object (no trailing newline).
@@ -182,16 +192,6 @@ pub fn to_json(e: &Event) -> String {
                 r#"{{"ev":"audit_fail","iteration":{iteration},"error":"{error}"}}"#
             );
         }
-        Event::StoreWriteFail {
-            session,
-            commit_seq,
-            error,
-        } => {
-            let _ = write!(
-                s,
-                r#"{{"ev":"store_write_fail","session":{session},"commit_seq":{commit_seq},"error":"{error}"}}"#
-            );
-        }
     }
     s
 }
@@ -347,14 +347,6 @@ mod tests {
                 error: "crc-mismatch"
             }),
             r#"{"ev":"audit_fail","iteration":24,"error":"crc-mismatch"}"#
-        );
-        assert_eq!(
-            to_json(&Event::StoreWriteFail {
-                session: 3,
-                commit_seq: 17,
-                error: "stalled"
-            }),
-            r#"{"ev":"store_write_fail","session":3,"commit_seq":17,"error":"stalled"}"#
         );
     }
 

@@ -25,6 +25,7 @@ use std::fmt;
 
 use zarf_core::Int;
 use zarf_imperative::cpu::{CpuCost, Instr, Reg};
+use zarf_trace::json_str;
 
 use super::cfg::{BlockId, Cfg};
 use super::domain::{analyze, exec_block, AbsState, AbsVal, Interval};
@@ -231,7 +232,6 @@ impl RiscReport {
     /// Machine-readable rendering, matching the vet CLI's hand-rolled
     /// JSON style.
     pub fn to_json(&self, path: &str) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
         let loops = self
             .wcet
@@ -251,7 +251,7 @@ impl RiscReport {
         let violations = self
             .violations
             .iter()
-            .map(|v| format!("\"{}\"", esc(&v.to_string())))
+            .map(|v| json_str(&v.to_string()))
             .collect::<Vec<_>>()
             .join(",");
         let dead = self
@@ -261,11 +261,11 @@ impl RiscReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"file\":\"{}\",\"risc\":true,\"instructions\":{},\"blocks\":{},\
+            "{{\"file\":{},\"risc\":true,\"instructions\":{},\"blocks\":{},\
              \"functions\":{},\"loops\":[{loops}],\"violations\":[{violations}],\
              \"dead_blocks\":[{dead}],\"wcet_program\":{},\"wcet_steady\":{},\
              \"wcet_ok\":{},\"certified\":{},\"iterations\":{},\"iteration_bound\":{}}}",
-            esc(path),
+            json_str(path),
             self.program_len,
             self.blocks,
             self.functions,

@@ -77,7 +77,7 @@ use zarf::core::machine::MProgram;
 use zarf::core::step::Machine;
 use zarf::core::{Evaluator, VecPorts};
 use zarf::hw::{CostModel, Hw};
-use zarf::trace::{FoldedStacks, InstrClass, MetricsSink, NdjsonSink, SharedSink};
+use zarf::trace::{json_str, FoldedStacks, InstrClass, MetricsSink, NdjsonSink, SharedSink};
 use zarf::verify::annotated::check_annotated;
 use zarf::verify::lints::lint;
 use zarf::verify::wcet::{find_id, Wcet};
@@ -179,11 +179,10 @@ fn run_vet_risc(rest: &[String]) -> ExitCode {
             // A typed refusal (computed jump, irreducible flow, engine
             // divergence): certification cannot even start.
             if json {
-                let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
                 println!(
-                    "{{\"file\":\"{}\",\"risc\":true,\"error\":\"{}\"}}",
-                    esc(path),
-                    esc(&e.to_string())
+                    "{{\"file\":{},\"risc\":true,\"error\":{}}}",
+                    json_str(path),
+                    json_str(&e.to_string())
                 );
             } else {
                 println!("violation: {e}");
@@ -447,21 +446,15 @@ fn run_vet(rest: &[String]) -> ExitCode {
         .collect();
 
     if json {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let list = |xs: &[String]| {
-            xs.iter()
-                .map(|x| format!("\"{}\"", esc(x)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let list = |xs: &[String]| xs.iter().map(|x| json_str(x)).collect::<Vec<_>>().join(",");
         let funs = fun_lines
             .iter()
             .map(|(id, name, faults, bound)| {
                 format!(
-                    "{{\"id\":{id},\"name\":\"{}\",\"faults\":\"{}\",\"alloc_bound\":\"{}\"}}",
-                    esc(name),
-                    esc(faults),
-                    esc(bound)
+                    "{{\"id\":{id},\"name\":{},\"faults\":{},\"alloc_bound\":{}}}",
+                    json_str(name),
+                    json_str(faults),
+                    json_str(bound)
                 )
             })
             .collect::<Vec<_>>()
@@ -480,12 +473,12 @@ fn run_vet(rest: &[String]) -> ExitCode {
             )
         });
         println!(
-            "{{\"file\":\"{}\",\"model\":\"{:?}\",\"functions\":[{funs}],\
+            "{{\"file\":{},\"model\":\"{:?}\",\"functions\":[{funs}],\
              \"violations\":[{}],\"warnings\":[{}],\
              \"case_fault_free\":{},\"arity_fault_free\":{},\
              \"program_alloc_bound\":{},\"wcet_cycles\":{},\
              \"iterations\":{},\"iteration_bound\":{}{symex_json}}}",
-            esc(path),
+            json_str(path),
             model,
             list(&violations),
             list(&warnings),
@@ -748,8 +741,9 @@ fn run_snapshot(rest: &[String]) -> ExitCode {
                         Ok(())
                     }
                     Err(e) => Err(format!(
-                        "{{\"verdict\":\"corrupt\",\"kind\":\"{}\",\"error\":\"{e}\"}}",
-                        e.kind()
+                        "{{\"verdict\":\"corrupt\",\"kind\":\"{}\",\"error\":{}}}",
+                        e.kind(),
+                        json_str(&e.to_string())
                     )),
                 }
             }

@@ -199,6 +199,21 @@ fn vet_json_reports_bounds_and_certificates() {
 }
 
 #[test]
+fn vet_json_escapes_hostile_file_names() {
+    // A tab and a quote in the path must come out escaped, or the
+    // report is not JSON.
+    let src = write_temp("we\"ird\tname.zf", PROG);
+    let (ok, out, err) = zarf(&["vet", &src, "--json"]);
+    assert!(ok, "{err}");
+    let lines: Vec<&str> = out.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    for line in lines {
+        assert!(zarf_testkit::is_json(line), "not JSON: {line:?}");
+    }
+    assert!(out.contains(r#"we\"ird\tname.zf""#), "{out}");
+}
+
+#[test]
 fn vet_certifies_the_shipped_images() {
     for image in ["@kernel", "@session", "@icd"] {
         for model in ["standalone", "service"] {

@@ -375,7 +375,7 @@ fn oversize_frame_gets_typed_error_and_clean_close() {
     hdr.push(1); // protocol version
     hdr.extend_from_slice(&(1u32 << 20).to_le_bytes());
     raw.write_all(&hdr).unwrap();
-    match Response::decode(&zarf::fleet::read_frame(&mut raw).unwrap()).unwrap() {
+    match Response::decode(&zarf::fleet::ZFLT.read(&mut raw).unwrap()).unwrap() {
         Response::Error { code, message } => {
             assert_eq!(code, 6, "oversize rejection should be ERR_INTERNAL");
             assert!(
